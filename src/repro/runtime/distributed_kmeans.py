@@ -15,24 +15,33 @@ Mirrors the paper's parallelisation exactly (§4.1, Algorithms 1-2):
 - each movement iteration adds one ``k x (d+1)`` allreduce for the weighted
   center sums (Algorithm 2, line 13).
 
-The algorithm is written against the :class:`~repro.runtime.comm.Comm`
-protocol: rank functions return the small per-superstep products (block
-weights, partial sums), while all large rank-local state — points, weights,
-assignments, Hamerly bounds — lives in :meth:`~repro.runtime.comm.Comm.share`
-arrays that rank functions mutate in place, so the same code runs on every
-execution backend and each superstep ships only kilobytes of handles and
-centers.  On the default ``"virtual"`` backend ranks execute in-process and
-the ledger holds the machine-model wall-clock used by the scaling figures;
-on the ``"process"`` backend each rank is a real worker process mutating the
-shared segments, and on the ``"mpi"`` backend each rank is a real MPI
-process mutating its rank-resident copies (driver-side reads of mutated
-state go through :meth:`~repro.runtime.comm.Comm.collect`); measured
-backends hold measured wall-clock per stage.  Results are bit-identical
-across backends (tested).
+The algorithm is written once, in :func:`_kmeans_loop`, against the
+:class:`~repro.runtime.comm.Comm` protocol plus a small per-rank *storage*
+seam that decides where the large rank-local state — points, weights,
+assignments, Hamerly bounds, sample subsets — lives.  Rank functions return
+only the small per-superstep products (block weights, partial sums) and
+mutate the large state in place.  Two storages implement the seam:
+
+- :class:`SharedStorage` (this module): :meth:`~repro.runtime.comm.Comm.share`
+  arrays, so the same code runs on every execution backend and each
+  superstep ships only kilobytes of handles and centers.  On the default
+  ``"virtual"`` backend ranks execute in-process and the ledger holds the
+  machine-model wall-clock used by the scaling figures; on the
+  ``"process"`` backend each rank is a real worker process mutating the
+  shared segments, and on the ``"mpi"`` backend each rank is a real MPI
+  process mutating its rank-resident copies (driver-side reads of mutated
+  state go through :meth:`~repro.runtime.comm.Comm.collect`); measured
+  backends hold measured wall-clock per stage.
+- :class:`~repro.runtime.ondisk.SpillStorage`: per-rank spill files,
+  memory-mapped only inside a rank turn — the out-of-core runner
+  (:func:`~repro.runtime.ondisk.ondisk_distributed_kmeans`).
+
+Results are bit-identical across backends and storages (tested).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,20 +115,158 @@ class DistributedKMeansResult:
         return {k: v / total for k, v in sorted(self.ledger.stages.items())}
 
 
+class SharedStorage:
+    """Rank state in :meth:`~repro.runtime.comm.Comm.share` segments.
+
+    The in-memory implementation of the storage seam :func:`_kmeans_loop`
+    is written against (:class:`~repro.runtime.ondisk.SpillStorage` is the
+    out-of-core one).  A *ref* is whatever ``put`` returns:
+
+    - ``put(name, r, array)`` places rank ``r``'s state where its rank
+      functions can read and mutate it;
+    - ``stash(name, r, array)`` keeps per-rank data only the driver reads;
+    - ``view(ref)`` gives the driver read access to state ranks never
+      mutate (points, weights, stashes, sample subsets);
+    - ``local(fn, read, write)`` makes the rank function
+      ``r -> fn(r, *arrays)`` over rank ``r``'s entries of the ``read`` and
+      then the ``write`` ref lists;
+    - ``collect(refs)`` returns rank-authoritative values of mutated state
+      for the driver (checkpoints);
+    - ``gather(values, ids, n)`` scatters per-rank values back to the
+      original point order;
+    - ``release(*refs)`` frees state early, ``close()`` frees the rest.
+
+    ``persistent_state`` says whether ranks may keep sweep workspaces
+    between supersteps.
+    """
+
+    def __init__(self, comm: Comm) -> None:
+        self.comm = comm
+        self.persistent_state = comm.persistent_state
+        self._live: list[np.ndarray] = []
+
+    def put(self, name: str, r: int, array: np.ndarray) -> np.ndarray:
+        shared = self.comm.share(array)
+        self._live.append(shared)
+        return shared
+
+    @staticmethod
+    def stash(name: str, r: int, array: np.ndarray) -> np.ndarray:
+        return array
+
+    @staticmethod
+    def view(ref: np.ndarray) -> np.ndarray:
+        return ref
+
+    @staticmethod
+    def local(fn, read=(), write=()):
+        fields = (*read, *write)
+        return lambda r: fn(r, *(f[r] for f in fields))
+
+    def collect(self, refs: list[np.ndarray]) -> list[np.ndarray]:
+        return self.comm.collect(refs)
+
+    def gather(self, values: list[np.ndarray], ids: list[np.ndarray], n: int) -> np.ndarray:
+        # collect() returns each rank's authoritative copy: the driver's own
+        # view on driver-visible backends, the rank-resident copy over the
+        # wire on MPI
+        out = np.empty(n, dtype=np.int64)
+        for r, chunk in enumerate(self.comm.collect(values)):
+            out[ids[r]] = chunk
+        return out
+
+    def release(self, *refs: np.ndarray) -> None:
+        gone = {id(ref) for ref in refs}
+        self._live = [ref for ref in self._live if id(ref) not in gone]
+        self.comm.release(*refs)
+
+    def close(self) -> None:
+        self.comm.release(*self._live)
+        self._live = []
+
+
+@dataclass
+class _Checkpoints:
+    """Checkpoint/resume settings of one run."""
+
+    store: CheckpointStore | None
+    every: int
+    meta: dict  # metadata shared by every save of the run
+    resume: tuple | None  # (arrays, meta) of the checkpoint to resume from
+    fault_plan: object  # the comm's FaultPlan (corrupt: specs hit saves), if any
+
+
+@contextmanager
+def _run_context(nranks, comm, backend, machine, topology, *, cfg, rng, n, k, kind,
+                 input_digest, checkpoint, checkpoint_every, resume_from, provenance, load):
+    """Set-up shared by the in-memory and out-of-core runners.
+
+    Validates the checkpoint arguments, loads and validates the resume point
+    (``load`` reads it), and opens the communicator.  Yields ``(grid, gen,
+    checkpoints)``.  A comm created here is closed on exit, even on error; a
+    reused comm gets its stage label restored.
+    """
+    gen = ensure_rng(rng)
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    store = CheckpointStore.ensure(checkpoint)
+    resume = None
+    if resume_from is not None:
+        arrays, meta = load(resume_from)
+        validate_meta(meta, kind=kind, config_digest=cfg.digest(), input_digest=input_digest,
+                      checks=[("n", n), ("k", k)])
+        gen = restore_rng(meta["rng_state"])
+        resume = (arrays, meta)
+        if provenance is None:
+            provenance = meta.get("provenance")
+    if machine is None and topology is not None:
+        machine = topology.machine_model()
+    owns_comm = comm is None
+    if comm is None:
+        comm = make_comm(nranks, backend=backend, machine=machine, topology=topology)
+    elif comm.nranks != nranks:
+        raise ValueError(f"comm has {comm.nranks} ranks but nranks={nranks}")
+    prev_stage = comm._stage
+    try:
+        # The logical shard count is fixed at the run's first launch and
+        # recorded in every checkpoint: a resume on a different physical rank
+        # count keeps computing over the *same* S shards (ShardGrid maps them
+        # onto whatever workers exist), so block splits, the distributed
+        # sort, and every floating-point reduction order are preserved
+        # bit-for-bit.
+        nshards = int(resume[1]["nshards"]) if resume is not None else comm.nranks
+        meta = {
+            "kind": kind,
+            "config_digest": cfg.digest(),
+            "data_digest": input_digest,
+            "n": n,
+            "k": k,
+            "nshards": nshards,
+            "checkpoint_every": checkpoint_every,
+            "provenance": provenance,
+        }
+        ckpt = _Checkpoints(store, checkpoint_every, meta, resume, getattr(comm, "fault_plan", None))
+        yield ShardGrid(comm, nshards), gen, ckpt
+    finally:
+        if owns_comm:
+            comm.close()
+        else:  # leave a reused communicator the way we found it
+            comm.set_stage(prev_stage)
+
+
 def _split_blocks(n: int, p: int) -> list[np.ndarray]:
     """Initial block distribution: rank r owns indices [r*n/p, (r+1)*n/p)."""
     bounds = (np.arange(p + 1) * n) // p
     return [np.arange(bounds[r], bounds[r + 1], dtype=np.int64) for r in range(p)]
 
 
-def _relax_influence_local(bounds, assignment, old_influence, new_influence, workspace, cfg) -> None:
+def _relax_influence_local(ub, lb, assignment, old_influence, new_influence, workspace, cfg) -> None:
     """Rank-local influence relaxation (exclusive form in incremental mode).
 
     Module-level so the rank closure ships cleanly to worker processes;
     notifies the rank's persistent workspace (driver-resident backends only —
     worker ranks rebuild ephemeral workspaces and pass ``None``).
     """
-    ub, lb = bounds
     if workspace is not None and workspace.queue_relax_influence(assignment, ub, lb, old_influence, new_influence):
         return
     relax = relax_for_influence_exclusive if cfg.use_incremental else relax_for_influence
@@ -128,9 +275,8 @@ def _relax_influence_local(bounds, assignment, old_influence, new_influence, wor
         workspace.note_influence_relax(ratio_max, ratio_min)
 
 
-def _relax_movement_local(bounds, assignment, deltas, influence, workspace, cfg) -> None:
+def _relax_movement_local(ub, lb, assignment, deltas, influence, workspace, cfg) -> None:
     """Rank-local movement relaxation (exclusive form in incremental mode)."""
-    ub, lb = bounds
     if workspace is not None and workspace.queue_relax_movement(assignment, ub, lb, deltas, influence):
         return
     relax = relax_for_movement_exclusive if cfg.use_incremental else relax_for_movement
@@ -139,27 +285,27 @@ def _relax_movement_local(bounds, assignment, deltas, influence, workspace, cfg)
         workspace.note_movement_relax(growth, shrink)
 
 
-def _save_checkpoint(
-    comm: Comm,
-    store: CheckpointStore,
-    meta_base: dict,
-    iteration: int,
-    gen: np.random.Generator,
-    centers: np.ndarray,
-    influence: np.ndarray,
-    block_w: np.ndarray,
-    assignment: list[np.ndarray],
-    bound_pairs: list[tuple[np.ndarray, np.ndarray]],
-    fault_plan=None,
-) -> None:
+def _fresh_state(storage, prefix: str, sizes) -> tuple[list, list, list]:
+    """Zero assignments and fresh Hamerly bounds (Algorithm 2, line 9) per rank."""
+    assignment, ub, lb = [], [], []
+    for r, size in enumerate(sizes):
+        upper, lower = init_bounds(int(size))
+        assignment.append(storage.put(f"{prefix}a", r, np.zeros(int(size), dtype=np.int64)))
+        ub.append(storage.put(f"{prefix}ub", r, upper))
+        lb.append(storage.put(f"{prefix}lb", r, lower))
+    return assignment, ub, lb
+
+
+def _save_checkpoint(comm, storage, ckpt: _Checkpoints, iteration: int, gen: np.random.Generator,
+                     centers, influence, block_w, assignment, ub, lb) -> None:
     """Snapshot the loop state at an iteration boundary (atomic npz).
 
     Per-shard assignment and Hamerly bounds are read through
-    :meth:`~repro.runtime.comm.Comm.collect` (rank-authoritative, so this is
-    correct on MPI too).  Bounds relaxations are applied eagerly during the
-    sweeps, so the collected (ub, lb) are exactly the values an uninterrupted
-    run would carry into the next iteration — which is what makes resume
-    bit-identical.
+    ``storage.collect`` (rank-authoritative, so this is correct on MPI too;
+    spill storage hands over lazy handles the store materialises one at a
+    time).  Bounds relaxations are applied eagerly during the sweeps, so the
+    collected (ub, lb) are exactly the values an uninterrupted run would
+    carry into the next iteration — which is what makes resume bit-identical.
     """
     comm.set_stage("checkpoint")
     arrays = {
@@ -167,17 +313,15 @@ def _save_checkpoint(
         "influence": np.asarray(influence, dtype=np.float64),
         "block_w": np.asarray(block_w, dtype=np.float64),
     }
-    assign_chunks = comm.collect(assignment)
-    ub_chunks = comm.collect([pair[0] for pair in bound_pairs])
-    lb_chunks = comm.collect([pair[1] for pair in bound_pairs])
-    for s in range(comm.nranks):
-        arrays[f"assign_{s:04d}"] = np.asarray(assign_chunks[s], dtype=np.int64)
-        arrays[f"ub_{s:04d}"] = np.asarray(ub_chunks[s], dtype=np.float64)
-        arrays[f"lb_{s:04d}"] = np.asarray(lb_chunks[s], dtype=np.float64)
-    meta = dict(meta_base)
+    chunks = zip(storage.collect(assignment), storage.collect(ub), storage.collect(lb))
+    for s, (a, upper, lower) in enumerate(chunks):
+        arrays[f"assign_{s:04d}"] = a
+        arrays[f"ub_{s:04d}"] = upper
+        arrays[f"lb_{s:04d}"] = lower
+    meta = dict(ckpt.meta)
     meta["iteration"] = int(iteration)
     meta["rng_state"] = rng_state(gen)
-    store.save(arrays, meta, faults=fault_plan)
+    ckpt.store.save(arrays, meta, faults=ckpt.fault_plan)
 
 
 def distributed_balanced_kmeans(
@@ -233,10 +377,10 @@ def distributed_balanced_kmeans(
     in checkpoint metadata so the CLI can rebuild the dataset on ``resume``.
 
     ``points`` may also be a :class:`~repro.io.sharded.ShardedDataset`
-    (weights then come from the dataset): the call delegates to the
-    out-of-core runner
-    (:func:`~repro.runtime.ondisk.ondisk_distributed_kmeans`), which is
-    bit-identical on fitting data and returns an
+    (weights then come from the dataset): the call delegates to
+    :func:`~repro.runtime.ondisk.ondisk_distributed_kmeans`, which runs this
+    same sort and loop with the rank state in spill files instead of shared
+    segments — bit-identical on fitting data — and returns an
     :class:`~repro.runtime.ondisk.OndiskKMeansResult`.
     """
     from repro.io.sharded import ShardedDataset  # runtime<->io import cycle guard
@@ -257,87 +401,37 @@ def distributed_balanced_kmeans(
     n = pts.shape[0]
     k = check_k(k, n)
     w = check_weights(weights, n)
-    gen = ensure_rng(rng)
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    store = CheckpointStore.ensure(checkpoint)
-    input_digest = data_digest(pts, w, extra=f"n={n},k={k}")
-    resume = None
-    if resume_from is not None:
-        arrays, meta = load_resume(resume_from)
-        validate_meta(
-            meta,
-            kind=CHECKPOINT_KIND,
-            config_digest=cfg.digest(),
-            input_digest=input_digest,
-            checks=[("n", n), ("k", k)],
-        )
-        gen = restore_rng(meta["rng_state"])
-        resume = (arrays, meta)
-    if machine is None and topology is not None:
-        machine = topology.machine_model()
-    owns_comm = comm is None
-    if comm is None:
-        comm = make_comm(nranks, backend=backend, machine=machine, topology=topology)
-    elif comm.nranks != nranks:
-        raise ValueError(f"comm has {comm.nranks} ranks but nranks={nranks}")
-    prev_stage = comm._stage
-    try:
-        return _distributed_balanced_kmeans(
-            comm, pts, k, w, cfg, gen, centers,
-            store=store, checkpoint_every=checkpoint_every, resume=resume,
-            input_digest=input_digest, provenance=provenance,
-        )
-    finally:
-        if owns_comm:
-            comm.close()
-        else:  # leave a reused communicator the way we found it
-            comm.set_stage(prev_stage)
+    with _run_context(nranks, comm, backend, machine, topology, cfg=cfg, rng=rng, n=n, k=k,
+                      kind=CHECKPOINT_KIND, input_digest=data_digest(pts, w, extra=f"n={n},k={k}"),
+                      checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+                      resume_from=resume_from, provenance=provenance,
+                      load=load_resume) as (grid, gen, ckpt):
+        storage = SharedStorage(grid)
+        try:
+            local_pts, local_w, local_ids, glo, ghi = _redistribute(grid, storage, pts, w, cfg)
+            result, _ = _kmeans_loop(grid, storage, local_pts, local_w, local_ids, glo, ghi,
+                                     k, cfg, gen, centers, ckpt)
+            return result
+        finally:
+            # a reused communicator gets this run's segments back immediately;
+            # on an owned comm close() covers the error paths as well
+            storage.close()
 
 
-def _distributed_balanced_kmeans(
-    comm: Comm,
-    pts: np.ndarray,
-    k: int,
-    w: np.ndarray,
-    cfg: BalancedKMeansConfig,
-    gen: np.random.Generator,
-    centers: np.ndarray | None,
-    store: CheckpointStore | None = None,
-    checkpoint_every: int = 1,
-    resume: tuple[dict, dict] | None = None,
-    input_digest: str | None = None,
-    provenance: dict | None = None,
-) -> DistributedKMeansResult:
-    # The logical shard count is fixed at the run's first launch and recorded
-    # in every checkpoint: a resume on a different physical rank count keeps
-    # computing over the *same* S shards (ShardGrid maps them onto whatever
-    # workers exist), so block splits, the distributed sort, and every
-    # floating-point reduction order are preserved bit-for-bit.
-    nshards = int(resume[1]["nshards"]) if resume is not None else comm.nranks
-    grid = ShardGrid(comm, nshards)
-    fault_plan = getattr(comm, "fault_plan", None)
-    if provenance is None and resume is not None:
-        provenance = resume[1].get("provenance")
-    ckpt_meta = {
-        "kind": CHECKPOINT_KIND,
-        "config_digest": cfg.digest(),
-        "data_digest": input_digest,
-        "n": pts.shape[0],
-        "k": k,
-        "nshards": nshards,
-        "checkpoint_every": checkpoint_every,
-        "provenance": provenance,
-    }
-    comm = grid
+def _redistribute(comm: Comm, storage: SharedStorage, pts: np.ndarray, w: np.ndarray,
+                  cfg: BalancedKMeansConfig):
+    """Deal the points out block-wise, Hilbert-index them, sort them over the ranks.
+
+    Returns the per-rank SFC-sorted points, weights and original ids plus
+    the global bounding box.
+    """
     p = comm.nranks
-    n = pts.shape[0]
-    dim = pts.shape[1]
+    n, dim = pts.shape
     bits = cfg.sfc_bits or DEFAULT_BITS[dim]
 
     # -- initial block distribution (payload: coords | weight | original id)
-    owned = _split_blocks(n, p)
-    payload = [comm.share(np.column_stack([pts[ix], w[ix], ix.astype(np.float64)])) for ix in owned]
+    payload = [storage.put("payload", r, np.column_stack([pts[ix], w[ix], ix.astype(np.float64)]))
+               for r, ix in enumerate(_split_blocks(n, p))]
 
     # -- global bounding box: local boxes + tiny allgather ------------------
     comm.set_stage("sfc_index")
@@ -355,60 +449,48 @@ def _distributed_balanced_kmeans(
     # -- distributed sort + equalising redistribution ------------------------
     comm.set_stage("redistribute")
     _, sorted_payload = distributed_sort(comm, keys, payload)
-    # post-redistribution rank state: shared segments mutated in place by the
-    # rank functions; the pre-sort payload segments are released immediately
-    # so only one shared copy of the data remains
-    local_pts = [comm.share(np.ascontiguousarray(sp[:, :dim])) for sp in sorted_payload]
-    local_w = [comm.share(np.ascontiguousarray(sp[:, dim])) for sp in sorted_payload]
+    # the pre-sort payload segments are released immediately so only one
+    # shared copy of the data remains
+    local_pts = [storage.put("pts", r, np.ascontiguousarray(sp[:, :dim]))
+                 for r, sp in enumerate(sorted_payload)]
+    local_w = [storage.put("w", r, np.ascontiguousarray(sp[:, dim]))
+               for r, sp in enumerate(sorted_payload)]
     local_ids = [sp[:, dim + 1].astype(np.int64) for sp in sorted_payload]
-    comm.release(*payload)
-    del payload
-    counts = np.array([lp.shape[0] for lp in local_pts], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-
-    assignment: list[np.ndarray] = []
-    bound_pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    try:
-        return _kmeans_loop(comm, local_pts, local_w, local_ids, counts, offsets,
-                            assignment, bound_pairs, glo, ghi, n, k, dim, cfg, gen, centers,
-                            store=store, checkpoint_every=checkpoint_every, resume=resume,
-                            ckpt_meta=ckpt_meta, fault_plan=fault_plan)
-    finally:
-        # a reused communicator gets this run's segments back immediately;
-        # on an owned comm close() (in the caller) covers the error paths
-        comm.release(*local_pts, *local_w, *assignment,
-                     *(b for pair in bound_pairs for b in pair))
+    storage.release(*payload)
+    return local_pts, local_w, local_ids, glo, ghi
 
 
 def _kmeans_loop(
     comm: Comm,
-    local_pts: list[np.ndarray],
-    local_w: list[np.ndarray],
-    local_ids: list[np.ndarray],
-    counts: np.ndarray,
-    offsets: np.ndarray,
-    assignment: list[np.ndarray],
-    bound_pairs: list[tuple[np.ndarray, np.ndarray]],
+    storage,
+    local_pts: list,
+    local_w: list,
+    local_ids: list,
     glo: np.ndarray,
     ghi: np.ndarray,
-    n: int,
     k: int,
-    dim: int,
     cfg: BalancedKMeansConfig,
     gen: np.random.Generator,
     centers: np.ndarray | None,
-    store: CheckpointStore | None = None,
-    checkpoint_every: int = 1,
-    resume: tuple[dict, dict] | None = None,
-    ckpt_meta: dict | None = None,
-    fault_plan=None,
-) -> DistributedKMeansResult:
+    ckpt: _Checkpoints,
+) -> tuple[DistributedKMeansResult, list]:
+    """Algorithms 1-2 over the ranks' SFC-sorted chunks, on any storage.
+
+    ``local_pts``/``local_w`` are refs of ``storage`` (see
+    :class:`SharedStorage`), ``local_ids`` whatever its ``gather`` takes.
+    Returns the result, whose assignment ``storage.gather`` built, and the
+    per-rank assignment refs.
+    """
     p = comm.nranks
+    counts = np.array([lp.shape[0] for lp in local_pts], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    n = int(counts.sum())
+    dim = local_pts[0].shape[1]
 
     # -- restore checkpointed state (skips seeding + sampled init) -----------
-    resuming = resume is not None
+    resuming = ckpt.resume is not None
     if resuming:
-        arrays, meta = resume
+        arrays, meta = ckpt.resume
         centers = np.array(arrays["centers"], dtype=np.float64, copy=True)
 
     # -- SFC seeding from the global sorted order (Algorithm 2, line 7) ------
@@ -421,25 +503,28 @@ def _kmeans_loop(
     else:
         positions = seed_positions(n, k)
 
-        def local_seeds(r: int) -> np.ndarray:
+        def local_seeds(r: int, pts) -> np.ndarray:
             inside = (positions >= offsets[r]) & (positions < offsets[r] + counts[r])
             which = np.flatnonzero(inside)
             rows = positions[which] - offsets[r]
-            return np.column_stack([which.astype(np.float64), local_pts[r][rows]])
+            return np.column_stack([which.astype(np.float64), pts[rows]])
 
-        seeds = comm.allgather(comm.run_local(local_seeds)).reshape(-1, dim + 1)
+        seeds = comm.allgather(comm.run_local(storage.local(local_seeds, read=(local_pts,))))
+        seeds = seeds.reshape(-1, dim + 1)
         centers = np.empty((k, dim))
         centers[seeds[:, 0].astype(np.int64)] = seeds[:, 1:]
 
     influence = np.ones(k)
-    total_w = float(comm.allreduce(comm.run_local(lambda r: np.array([float(local_w[r].sum())])))[0])
+    total_w = float(comm.allreduce(comm.run_local(
+        storage.local(lambda r, w: np.array([float(w.sum())]), read=(local_w,))))[0])
     targets = np.full(k, total_w / k)
     extent = ghi - glo
     delta_threshold = cfg.delta_threshold_rel * float(np.linalg.norm(extent))
 
-    # -- per-rank mutable state: shared, mutated in place by rank functions --
+    # -- per-rank mutable state: mutated in place by rank functions ----------
     if resuming:
         influence = np.array(arrays["influence"], dtype=np.float64, copy=True)
+        assignment, ub, lb = [], [], []
         for s in range(p):
             chunk = arrays[f"assign_{s:04d}"]
             if chunk.shape[0] != int(counts[s]):
@@ -448,14 +533,11 @@ def _kmeans_loop(
                     f"redistribution produced {int(counts[s])} — the checkpoint does "
                     "not belong to this dataset/configuration"
                 )
-            assignment.append(comm.share(np.ascontiguousarray(chunk, dtype=np.int64)))
-            bound_pairs.append((
-                comm.share(np.ascontiguousarray(arrays[f"ub_{s:04d}"], dtype=np.float64)),
-                comm.share(np.ascontiguousarray(arrays[f"lb_{s:04d}"], dtype=np.float64)),
-            ))
+            assignment.append(storage.put("a", s, np.ascontiguousarray(chunk, dtype=np.int64)))
+            ub.append(storage.put("ub", s, np.ascontiguousarray(arrays[f"ub_{s:04d}"], dtype=np.float64)))
+            lb.append(storage.put("lb", s, np.ascontiguousarray(arrays[f"lb_{s:04d}"], dtype=np.float64)))
     else:
-        assignment.extend(comm.share(np.zeros(c, dtype=np.int64)) for c in counts)
-        bound_pairs.extend(tuple(comm.share(b) for b in init_bounds(int(c))) for c in counts)
+        assignment, ub, lb = _fresh_state(storage, "", counts)
     # On resume the restored RNG state already reflects the first launch's
     # spawn/permutation draws, and the sampled init never re-runs — spawning
     # again would only advance the generator past its checkpointed state.
@@ -463,28 +545,39 @@ def _kmeans_loop(
     # rank-local kernel workspaces: when ranks run in the driver process
     # (persistent_state), one workspace per rank survives across every
     # sweep/iteration (point norms + static block boxes are sweep-invariant).
-    # Worker-process ranks rebuild an ephemeral workspace per sweep instead
-    # (assign_points does this when given None) — bit-identical results, the
-    # caches are exact — so the unpicklable workspace never crosses a pipe;
-    # their device affinity comes from the rank hint each worker sets at
-    # startup (repro.core.xp.set_rank_hint).  rank=r gives torch-cuda
-    # workspaces per-rank device affinity (cuda:(r % device_count)).
-    keep_state = comm.persistent_state
+    # Worker-process ranks and spill storage rebuild an ephemeral workspace
+    # per sweep instead (assign_points does this when given None) —
+    # bit-identical results, the caches are exact — so the unpicklable
+    # workspace never crosses a pipe and no O(n/p) cache outlives a spill
+    # turn; worker device affinity comes from the rank hint each worker
+    # sets at startup (repro.core.xp.set_rank_hint).  rank=r gives
+    # torch-cuda workspaces per-rank device affinity (cuda:(r % device_count)).
+    keep_state = storage.persistent_state
     workspaces = [SweepWorkspace(local_pts[r], cfg, k, rank=r) if keep_state else None
                   for r in range(p)]
 
     # -- sampled initialisation rounds (per rank, §4.5) -----------------------
-    # (skipped on warm starts: the previous centers are already near-optimal)
+    # (skipped on warm starts: the previous centers are already near-optimal;
+    # each rank permutes with its own spawned generator)
     sample_sizes = doubling_sizes(int(counts.min()), cfg) if not warm_start else []
-    sample_perms = ([rank_rngs[r].permutation(int(counts[r])) for r in range(p)]
-                    if not resuming else None)
+    sample_perms = [storage.stash("perm", r, rank_rngs[r].permutation(int(counts[r])))
+                    for r in range(p)] if sample_sizes else []
 
     incremental = bool(cfg.use_incremental and cfg.use_bounds)
 
+    def relax(steps, s_assign, s_ub, s_lb, s_workspaces) -> None:
+        """One superstep applying bounds relaxations ``fn(ub, lb, a, *args, ...)`` in order."""
+
+        def turn(r: int, a, upper, lower) -> None:
+            for fn, args in steps:
+                fn(upper, lower, a, *args, s_workspaces[r], cfg)
+
+        comm.run_local(storage.local(turn, read=(s_assign,), write=(s_ub, s_lb)))
+
     def one_phase(
-        subset: list[np.ndarray] | None, block_w0: np.ndarray | None = None
+        size: int | None, block_w0: np.ndarray | None = None
     ) -> tuple[float, np.ndarray, bool, np.ndarray]:
-        """One assign-and-balance phase + center update.
+        """One assign-and-balance phase + center update (full set or a sample).
 
         Returns ``(max delta, new centers, balanced, block weights)``.  In
         incremental mode the global block weights are maintained from the
@@ -494,20 +587,23 @@ def _kmeans_loop(
         phase's weights in.
         """
         nonlocal influence
-        if subset is None:
-            s_pts, s_w, s_assign = local_pts, local_w, assignment
-            s_bounds = bound_pairs
+        if size is None:
+            s_pts, s_w, s_assign, s_ub, s_lb = local_pts, local_w, assignment, ub, lb
             s_targets = targets
             s_workspaces = workspaces
         else:
-            s_pts = [comm.share(local_pts[r][subset[r]]) for r in range(p)]
-            s_w = [comm.share(local_w[r][subset[r]]) for r in range(p)]
-            s_assign = [comm.share(np.zeros(len(subset[r]), dtype=np.int64)) for r in range(p)]
-            s_bounds = [tuple(comm.share(b) for b in init_bounds(len(subset[r]))) for r in range(p)]
-            frac = sum(float(sw.sum()) for sw in s_w) / total_w
+            sizes = [min(size, int(c)) for c in counts]
+            s_pts, s_w = [], []
+            for r in range(p):
+                rows = np.array(storage.view(sample_perms[r])[: sizes[r]])
+                s_pts.append(storage.put("s_pts", r, np.asarray(storage.view(local_pts[r]))[rows]))
+                s_w.append(storage.put("s_w", r, np.asarray(storage.view(local_w[r]))[rows]))
+            s_assign, s_ub, s_lb = _fresh_state(storage, "s_", sizes)
+            frac = sum(float(storage.view(sw).sum()) for sw in s_w) / total_w
             s_targets = targets * frac
             s_workspaces = [SweepWorkspace(s_pts[r], cfg, k, rank=r) if keep_state else None
                             for r in range(p)]
+        state = dict(read=(s_pts, s_w), write=(s_assign, s_ub, s_lb))
         balanced = False
         block_w = np.array(block_w0, dtype=np.float64, copy=True) if (incremental and block_w0 is not None) else None
         for bit in range(cfg.max_balance_iterations):
@@ -515,23 +611,21 @@ def _kmeans_loop(
 
             if block_w is not None:
 
-                def sweep_delta(r: int) -> np.ndarray:
-                    ub, lb = s_bounds[r]
+                def sweep_delta(r: int, pts, w, a, upper, lower) -> np.ndarray:
                     delta = np.zeros(k)
-                    assign_points(s_pts[r], centers, influence, s_assign[r], ub, lb, cfg,
-                                  workspace=s_workspaces[r], weights=s_w[r], delta_out=delta)
+                    assign_points(pts, centers, influence, a, upper, lower, cfg,
+                                  workspace=s_workspaces[r], weights=w, delta_out=delta)
                     return delta
 
-                block_w = block_w + comm.allreduce(comm.run_local(sweep_delta))
+                block_w = block_w + comm.allreduce(comm.run_local(storage.local(sweep_delta, **state)))
             else:
 
-                def sweep(r: int) -> np.ndarray:
-                    ub, lb = s_bounds[r]
-                    assign_points(s_pts[r], centers, influence, s_assign[r], ub, lb, cfg,
+                def sweep(r: int, pts, w, a, upper, lower) -> np.ndarray:
+                    assign_points(pts, centers, influence, a, upper, lower, cfg,
                                   workspace=s_workspaces[r])
-                    return np.bincount(s_assign[r], weights=np.asarray(s_w[r]), minlength=k)
+                    return np.bincount(a, weights=np.asarray(w), minlength=k)
 
-                block_w = comm.allreduce(comm.run_local(sweep))
+                block_w = comm.allreduce(comm.run_local(storage.local(sweep, **state)))
             imbalance = float((block_w / s_targets).max() - 1.0)
             if imbalance <= cfg.epsilon:
                 balanced = True
@@ -544,17 +638,14 @@ def _kmeans_loop(
                 cap=cfg.influence_change_cap, floor=cfg.influence_floor, ceil=cfg.influence_ceil,
             )
             if cfg.use_bounds:
-                comm.run_local(
-                    lambda r: _relax_influence_local(s_bounds[r], s_assign[r], old_influence,
-                                                     influence, s_workspaces[r], cfg)
-                )
+                relax([(_relax_influence_local, (old_influence, influence))],
+                      s_assign, s_ub, s_lb, s_workspaces)
             if not incremental:
                 block_w = None  # force a fresh bincount reduction next iteration
         # center update: one allreduce of k x (d+1) partial sums
-        def partial_sums(r: int) -> np.ndarray:
-            return center_partial_sums(s_pts[r], s_w[r], s_assign[r], k)
-
-        totals = comm.allreduce(comm.run_local(partial_sums)).reshape(k, dim + 1)
+        totals = comm.allreduce(comm.run_local(storage.local(
+            lambda r, pts, w, a: center_partial_sums(pts, w, a, k), read=(s_pts, s_w, s_assign))))
+        totals = totals.reshape(k, dim + 1)
         wsum = totals[:, dim]
         new_centers = np.where(wsum[:, None] > 0, totals[:, :dim] / np.maximum(wsum, 1e-300)[:, None], centers)
         deltas = np.linalg.norm(new_centers - centers, axis=1)
@@ -564,10 +655,9 @@ def _kmeans_loop(
             # beta(C) = average cluster diameter (2 x rms radius), computed
             # like the serial code but with the partial sums allreduced —
             # one extra k+k-float reduction per movement round.
-            def diameter_sums(r: int) -> np.ndarray:
-                return diameter_partial_sums(s_pts[r], s_w[r], s_assign[r], new_centers)
-
-            dsums = comm.allreduce(comm.run_local(diameter_sums))
+            dsums = comm.allreduce(comm.run_local(storage.local(
+                lambda r, pts, w, a: diameter_partial_sums(pts, w, a, new_centers),
+                read=(s_pts, s_w, s_assign))))
             sq_sums, cnts = dsums[:k], dsums[k:]
             with np.errstate(invalid="ignore", divide="ignore"):
                 diam = 2.0 * np.sqrt(np.where(cnts > 0, sq_sums / np.maximum(cnts, 1e-300), 0.0))
@@ -575,19 +665,16 @@ def _kmeans_loop(
             beta = float(positive.mean()) if positive.size else 0.0
             influence = erode_influence(influence, deltas, beta,
                                         floor=cfg.influence_floor, ceil=cfg.influence_ceil)
-        if subset is None and cfg.use_bounds:
-            comm.run_local(lambda r: _relax_influence_local(bound_pairs[r], assignment[r],
-                                                            old_influence, influence,
-                                                            workspaces[r], cfg))
-            comm.run_local(lambda r: _relax_movement_local(bound_pairs[r], assignment[r],
-                                                           deltas, influence, workspaces[r], cfg))
-        if subset is not None:
-            comm.release(*s_pts, *s_w, *s_assign, *(b for pair in s_bounds for b in pair))
+        if size is None and cfg.use_bounds:
+            relax([(_relax_influence_local, (old_influence, influence)),
+                   (_relax_movement_local, (deltas, influence))], assignment, ub, lb, workspaces)
+        if size is not None:
+            storage.release(*s_pts, *s_w, *s_assign, *s_ub, *s_lb)
         return float(deltas.max()), new_centers, balanced, block_w
 
     for size in sample_sizes:
-        subset = [sample_perms[r][: min(size, int(counts[r]))] for r in range(p)]
-        _, centers, _, _ = one_phase(subset)
+        _, centers, _, _ = one_phase(size)
+    storage.release(*sample_perms)
 
     converged = False
     iterations = 0
@@ -614,25 +701,19 @@ def _kmeans_loop(
             final_imbalance = float((block_w / targets).max() - 1.0)
             prev_block_w = block_w
         else:
-            block_w = comm.allreduce(comm.run_local(lambda r: np.bincount(assignment[r], weights=local_w[r], minlength=k)))
+            block_w = comm.allreduce(comm.run_local(storage.local(
+                lambda r, a, w: np.bincount(a, weights=w, minlength=k), read=(assignment, local_w))))
             final_imbalance = float((block_w / targets).max() - 1.0)
         if max_delta < delta_threshold and balanced:
             converged = True
             break
         centers = new_centers
-        if store is not None and (it + 1) % checkpoint_every == 0:
-            _save_checkpoint(comm, store, ckpt_meta, it + 1, gen, centers, influence,
-                             block_w, assignment, bound_pairs, fault_plan)
+        if ckpt.store is not None and (it + 1) % ckpt.every == 0:
+            _save_checkpoint(comm, storage, ckpt, it + 1, gen, centers, influence,
+                             block_w, assignment, ub, lb)
 
-    # -- gather assignment back to original order -----------------------------
-    # collect() returns each rank's authoritative copy: the driver's own view
-    # on driver-visible backends, the rank-resident copy over the wire on MPI
-    full_assignment = np.empty(n, dtype=np.int64)
-    for r, chunk in enumerate(comm.collect(assignment)):
-        full_assignment[local_ids[r]] = chunk
-
-    return DistributedKMeansResult(
-        assignment=full_assignment,
+    result = DistributedKMeansResult(
+        assignment=storage.gather(assignment, local_ids, n),
         centers=centers,
         influence=influence,
         iterations=iterations,
@@ -644,3 +725,4 @@ def _kmeans_loop(
         measured=comm.measured,
         block_weights=np.array(block_w, dtype=np.float64, copy=True),
     )
+    return result, assignment

@@ -6,10 +6,21 @@ redistributed so every rank owns an equal, contiguous (hence spatially
 compact) chunk.  Sample sort has the same communication pattern (one
 splitter allgather + one alltoallv), which is what the cost model charges.
 
-The sort is written in pure-superstep style (rank functions return fresh
-arrays, nothing is mutated in place), so it runs unchanged on every
-execution backend; the global sorted order is bit-identical across backends
-and independent of how the input was distributed over ranks (both tested).
+Every decision of the sort — local stable order, sample count, splitter
+choice, ``searchsorted`` bins, stable merge, equalising routes — lives in
+:func:`sample_sort` and nowhere else.  It moves data only through a small
+*rows* seam (``permute`` / ``map_keys`` / ``exchange``) with two
+implementations: :class:`_ArrayRows` below keeps per-rank arrays and
+exchanges them with :meth:`~repro.runtime.comm.Comm.alltoallv`; the
+out-of-core runner's spill rows (:mod:`repro.runtime.ondisk`) keep them in
+per-rank files and exchange them through file pieces, so its memory stays
+O(n/p) per rank.
+
+The in-memory sort is written in pure-superstep style (rank functions
+return fresh arrays, nothing is mutated in place), so it runs unchanged on
+every execution backend; the global sorted order is bit-identical across
+backends and independent of how the input was distributed over ranks (both
+tested).
 """
 
 from __future__ import annotations
@@ -18,112 +29,132 @@ import numpy as np
 
 from repro.runtime.comm import Comm
 
-__all__ = ["distributed_sort"]
+__all__ = ["OVERSAMPLE", "distributed_sort", "sample_sort"]
+
+#: Splitter samples contributed per rank; at least ``p`` are always taken.
+#: With fewer than ``p`` the pooled sample array degenerates into
+#: ~``OVERSAMPLE`` clusters of near-identical quantiles and consecutive
+#: splitters collapse onto the same cluster, leaving worst-case bins of
+#: ~``n/OVERSAMPLE`` rows no matter how many ranks there are.
+#: ``max(OVERSAMPLE, p)`` keeps the splitter stride at or above the cluster
+#: size, so bins stay O(n/p).  Splitters only shape the *intermediate*
+#: distribution: equal keys always land in the same bin, the merge is stable
+#: in source-rank order and the equalising redistribution targets fixed
+#: global positions, so the final output is identical for any splitter
+#: choice.
+OVERSAMPLE = 8
 
 
 def distributed_sort(
     comm: Comm,
     keys: list[np.ndarray],
     payloads: list[np.ndarray] | None = None,
-    oversample: int = 8,
-    equalize: bool = True,
 ) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
     """Globally sort per-rank ``keys`` (with optional per-rank ``payloads``).
 
     Returns per-rank sorted chunks such that the rank-order concatenation is
-    globally sorted.  With ``equalize`` (the Geographer redistribution step),
-    chunk sizes differ by at most one element.
-
-    Parameters
-    ----------
-    payloads:
-        Per-rank arrays of the same lengths as ``keys`` (e.g. point rows);
-        permuted and exchanged alongside the keys.
-    oversample:
-        Samples contributed per rank for splitter selection; at least ``p``
-        are always taken.  With fewer than ``p`` the pooled sample array
-        degenerates into ~``oversample`` clusters of near-identical
-        quantiles and consecutive splitters collapse onto the same cluster,
-        leaving worst-case bins of ~``n/oversample`` rows no matter how
-        many ranks there are.  ``max(oversample, p)`` keeps the splitter
-        stride at or above the cluster size, so bins stay O(n/p).
-        Splitters only shape the *intermediate* distribution: equal keys
-        always land in the same bin, the merge is stable in source-rank
-        order and the equalising redistribution targets fixed global
-        positions, so the final output is identical for any splitter
-        choice.
+    globally sorted and chunk sizes differ by at most one element (the
+    Geographer redistribution step).  ``payloads`` are per-rank arrays of the
+    same lengths as ``keys`` (e.g. point rows), permuted and exchanged
+    alongside the keys.
     """
     p = comm.nranks
     if len(keys) != p:
         raise ValueError(f"expected {p} per-rank key arrays, got {len(keys)}")
     if payloads is not None and any(len(a) != len(b) for a, b in zip(keys, payloads)):
         raise ValueError("payload lengths must match key lengths per rank")
+    rows = _ArrayRows(comm, keys, payloads)
+    sample_sort(comm, rows)
+    return rows.keys, rows.payloads
+
+
+def sample_sort(comm: Comm, rows) -> None:
+    """Sort ``rows`` globally by key and equalise them over the ranks, in place.
+
+    ``rows`` supplies the data movement only:
+
+    - ``permute(order_of)`` — every rank reorders its rows by
+      ``order_of(keys)``;
+    - ``map_keys(fn)`` — per-rank ``fn(keys)`` (small results);
+    - ``exchange(route_of, merge=None)`` — row ``i`` of rank ``r`` moves to
+      rank ``route_of(r, keys)[i]``; receivers concatenate in source-rank
+      order, then reorder by ``merge(keys)`` when given.  Returns the
+      per-rank row counts afterwards.
+    """
+    p = comm.nranks
 
     # 1. local sort (measured)
-    orders = comm.run_local(lambda r: np.argsort(keys[r], kind="stable"))
-    local_keys = [keys[r][orders[r]] for r in range(p)]
-    local_pay = [payloads[r][orders[r]] for r in range(p)] if payloads is not None else None
-
+    rows.permute(_stable_order)
     if p == 1:
-        return local_keys, local_pay
+        return
 
     # 2. splitter selection: oversampled allgather, then global quantiles
-    per_rank_samples = max(oversample, p)
-
-    def pick_samples(r: int) -> np.ndarray:
-        lk = local_keys[r]
-        if lk.size == 0:
-            return lk[:0]
-        pos = np.linspace(0, lk.size - 1, num=min(per_rank_samples, lk.size)).astype(np.int64)
-        return lk[pos]
-
-    samples = comm.allgather(comm.run_local(pick_samples))
-    samples = np.sort(samples)
+    per_rank = max(OVERSAMPLE, p)
+    samples = np.sort(comm.allgather(rows.map_keys(lambda keys: _samples(keys, per_rank))))
     if samples.size == 0:
-        return local_keys, local_pay
-    splitter_pos = (np.arange(1, p) * samples.size) // p
-    splitters = samples[splitter_pos]
+        return
+    splitters = samples[(np.arange(1, p) * samples.size) // p]
 
-    # 3. alltoallv exchange by splitter bins
-    def bins_for(r: int) -> np.ndarray:
-        return np.searchsorted(splitters, local_keys[r], side="right")
-
-    dest = comm.run_local(bins_for)
-    send_keys = [[local_keys[r][dest[r] == j] for j in range(p)] for r in range(p)]
-    recv_keys = comm.alltoallv(send_keys)
-    if local_pay is not None:
-        send_pay = [[local_pay[r][dest[r] == j] for j in range(p)] for r in range(p)]
-        recv_pay = comm.alltoallv(send_pay)
-    else:
-        recv_pay = None
-
-    # 4. local merge (measured; received runs are already sorted per source)
-    merge_orders = comm.run_local(lambda r: np.argsort(recv_keys[r], kind="stable"))
-    sorted_keys = [recv_keys[r][merge_orders[r]] for r in range(p)]
-    sorted_pay = [recv_pay[r][merge_orders[r]] for r in range(p)] if recv_pay is not None else None
-
-    if not equalize:
-        return sorted_keys, sorted_pay
+    # 3./4. alltoallv by splitter bins, then a stable local merge (received
+    # runs are already sorted per source)
+    counts = rows.exchange(lambda r, keys: np.searchsorted(splitters, keys, side="right"),
+                           merge=_stable_order)
 
     # 5. exact redistribution to equal chunk sizes (order-preserving):
     # element with global index g goes to rank (g * p) // total, which deals
     # out floor(n/p) or ceil(n/p) elements per rank (sizes differ by <= 1).
-    counts = np.array([a.size for a in sorted_keys], dtype=np.int64)
     total = int(counts.sum())
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     if total == 0:
-        return sorted_keys, sorted_pay
+        return
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    rows.exchange(lambda r, keys: ((offsets[r] + np.arange(keys.shape[0], dtype=np.int64)) * p)
+                  // total)
 
-    def route(r: int) -> np.ndarray:
-        g = offsets[r] + np.arange(counts[r], dtype=np.int64)
-        return (g * p) // total
 
-    routes = comm.run_local(route)
-    send_keys = [[sorted_keys[r][routes[r] == j] for j in range(p)] for r in range(p)]
-    final_keys = comm.alltoallv(send_keys)
-    if sorted_pay is not None:
-        send_pay = [[sorted_pay[r][routes[r] == j] for j in range(p)] for r in range(p)]
-        final_pay = comm.alltoallv(send_pay)
-    else:
-        final_pay = None
-    return final_keys, final_pay
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    return np.argsort(keys, kind="stable")
+
+
+def _samples(sorted_keys: np.ndarray, count: int) -> np.ndarray:
+    """``count`` evenly spaced splitter candidates from one rank's sorted keys."""
+    if sorted_keys.size == 0:
+        return sorted_keys[:0]
+    pos = np.linspace(0, sorted_keys.size - 1, num=min(count, sorted_keys.size)).astype(np.int64)
+    return sorted_keys[pos]
+
+
+class _ArrayRows:
+    """In-memory rows: per-rank key arrays plus optional payload arrays.
+
+    Rank functions capture the per-rank lists, never ``self`` (which holds
+    the communicator), so they ship to worker processes.
+    """
+
+    def __init__(self, comm: Comm, keys: list[np.ndarray], payloads: list[np.ndarray] | None):
+        self.comm = comm
+        self.keys = list(keys)
+        self.payloads = payloads
+
+    def permute(self, order_of) -> None:
+        keys = self.keys
+        orders = self.comm.run_local(lambda r: order_of(keys[r]))
+        self.keys = [kk[order] for kk, order in zip(keys, orders)]
+        if self.payloads is not None:
+            self.payloads = [pl[order] for pl, order in zip(self.payloads, orders)]
+
+    def map_keys(self, fn) -> list:
+        keys = self.keys
+        return self.comm.run_local(lambda r: fn(keys[r]))
+
+    def exchange(self, route_of, merge=None) -> np.ndarray:
+        p = self.comm.nranks
+        keys = self.keys
+        dest = self.comm.run_local(lambda r: route_of(r, keys[r]))
+        self.keys = self.comm.alltoallv([[keys[r][dest[r] == j] for j in range(p)] for r in range(p)])
+        if self.payloads is not None:
+            pay = self.payloads
+            self.payloads = self.comm.alltoallv(
+                [[pay[r][dest[r] == j] for j in range(p)] for r in range(p)])
+        if merge is not None:
+            self.permute(merge)
+        return np.array([kk.size for kk in self.keys], dtype=np.int64)

@@ -1,38 +1,37 @@
 """Out-of-core distributed balanced k-means over a :class:`ShardedDataset`.
 
-Runs the exact superstep schedule of
-:func:`~repro.runtime.distributed_kmeans.distributed_balanced_kmeans`, but
-every O(n) array — per-rank points, weights, ids, assignments, Hamerly
-bounds — lives in per-rank spill files (:mod:`repro.io.spill`) instead of
-driver memory.  Rank functions receive picklable :class:`SpillHandle`
-descriptors, memory-map their own O(n/p) file inside the rank turn,
-compute with the very same kernels as the in-memory path, flush, and
-return only the small per-superstep products (k-vectors, partial sums)
-that flow through the real :class:`~repro.runtime.comm.Comm` collectives.
+The out-of-core runner is not a second copy of the algorithm: it runs the
+one sample sort (:func:`~repro.runtime.distsort.sample_sort`) and the one
+Algorithm 2 driver loop of
+:func:`~repro.runtime.distributed_kmeans.distributed_balanced_kmeans`, and
+only changes where the O(n) state lives.  Both are written against small
+storage seams, and this module holds their spill-file implementations:
+
+- **Rank state** — :class:`SpillStorage`.  Per-rank points, weights, ids,
+  assignments, Hamerly bounds, sample permutations and sample subsets are
+  spill files (:mod:`repro.io.spill`) named ``{name}.{rank}``.  A rank
+  function receives memory maps of its own O(n/p) files, opened for that
+  rank turn only; the maps it writes are flushed when the turn ends.  Ranks
+  rebuild an ephemeral sweep workspace per sweep, exactly like
+  worker-process ranks do on the process backend, so no O(n/p) cache
+  outlives a turn.  The final assignment is scattered back to original
+  order on disk (:func:`_scatter_to_original_order`).
+- **Sort rows** — :class:`_SpillRows`.  The sort's rows are one spill file
+  per field and rank; the sort's exchanges go through :func:`_exchange`, a
+  file-mediated alltoallv (one npz piece per source and destination,
+  regathered in source-rank order, charged to the machine model like
+  :meth:`~repro.runtime.comm.Comm.alltoallv`).  Every sort decision stays
+  in :mod:`repro.runtime.distsort`; nothing O(n) passes through the driver.
+  :func:`repro.runtime.shuffle.shuffle_to_disk` routes its rows through the
+  same exchange.
 
 **Bit-identity.**  On a dataset that also fits in memory, this runner
 produces bit-identical assignments, centers, and block weights to the
-in-memory path at the same rank count (tested), because every step is the
-same computation over the same bytes:
-
-- the global bounding box assembled from per-shard manifest boxes equals
-  the in-memory elementwise min/max exactly (min/max are exact and
-  grouping-independent);
-- the file-mediated sample sort below replicates
-  :func:`~repro.runtime.distsort.distributed_sort` operation for
-  operation — same stable argsorts, same oversampled splitters, same
-  ``searchsorted`` bins, same rank-order piece concatenation, same
-  equalising routes — so every rank ends up with the identical sorted
-  chunk;
-- the balance sweeps call :func:`~repro.core.assign.assign_points` on
-  C-contiguous memory maps with ephemeral workspaces, exactly like
-  worker-process ranks do on the process backend (whose equivalence to
-  the persistent-workspace virtual path is already established): bound
-  relaxations apply eagerly, evaluations are exact, assignments match;
-- the center/erosion reductions share
-  :func:`~repro.core.assign.center_partial_sums` /
-  :func:`~repro.core.assign.diameter_partial_sums` with the in-memory
-  runner and reduce through the same rank-ordered combine kernels.
+in-memory path at the same rank count (tested): the global bounding box
+assembled from per-shard manifest boxes equals the in-memory elementwise
+min/max exactly (min/max are exact and grouping-independent), the sort and
+the loop are the same code over the same bytes, and the sweep kernels are
+exact with or without a persistent workspace.
 
 **Memory model.**  Peak driver (and per-worker) footprint is O(n/p) — one
 rank's working set — never O(n).  The two O(n) artifacts (the final
@@ -40,10 +39,11 @@ original-order assignment and the shuffle remap) are written with seek-
 based windowed I/O, never mapped wholly, because file-backed mappings
 count toward ``RLIMIT_AS`` — the cap the CI memory gate enforces.
 
-Checkpoint/resume uses the same atomic npz store as the in-memory path;
-``__meta__.data_digest`` records the dataset's *manifest digest* (cheap to
-recompute, covers every shard byte), and the per-shard state arrays are
-spilled/loaded one at a time so saving and resuming stay O(n/p) as well.
+Checkpoint/resume uses the same atomic npz store and the same save path as
+the in-memory runner; ``__meta__.data_digest`` records the dataset's
+*manifest digest* (cheap to recompute, covers every shard byte), and the
+per-shard state arrays are spilled/loaded one at a time so saving and
+resuming stay O(n/p) as well.
 """
 
 from __future__ import annotations
@@ -54,35 +54,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.assign import assign_points, center_partial_sums, diameter_partial_sums
-from repro.core.bounds import init_bounds
 from repro.core.config import BalancedKMeansConfig
-from repro.core.influence import adapt_influence, erode_influence
-from repro.core.sampling import doubling_sizes
-from repro.core.seeding import seed_positions
 from repro.io.sharded import ShardedDataset
 from repro.io.spill import SpillHandle, SpillStore
-from repro.runtime.checkpoint import (
-    CheckpointMismatchError,
-    CheckpointStore,
-    load_resume_lazy,
-    restore_rng,
-    rng_state,
-    validate_meta,
-)
-from repro.runtime.comm import Comm, CostLedger, ShardGrid, make_comm
+from repro.runtime.checkpoint import CheckpointStore, load_resume_lazy
+from repro.runtime.comm import Comm, CostLedger
 from repro.runtime.costmodel import MachineModel, MachineTopology
-from repro.runtime.distributed_kmeans import _relax_influence_local, _relax_movement_local
+from repro.runtime.distributed_kmeans import _kmeans_loop, _run_context
+from repro.runtime.distsort import sample_sort
 from repro.sfc.curves import DEFAULT_BITS, sfc_index
-from repro.util.rng import ensure_rng, spawn_rngs
 from repro.util.validation import check_k
 
 __all__ = ["OndiskKMeansResult", "ondisk_distributed_kmeans", "ONDISK_CHECKPOINT_KIND"]
 
 #: ``kind`` tag in checkpoint metadata for out-of-core runs.
 ONDISK_CHECKPOINT_KIND = "distributed-kmeans-ondisk"
-
-_SORT_OVERSAMPLE = 8  # matches distributed_sort's default
 
 
 @dataclass
@@ -128,19 +114,131 @@ class OndiskKMeansResult:
         return {k: v / total for k, v in sorted(self.ledger.stages.items())}
 
 
-def _charge_alltoallv(comm: Comm, piece_rows: np.ndarray, row_bytes: int) -> None:
+class SpillStorage:
+    """Rank state in per-rank spill files: the out-of-core storage seam.
+
+    Implements the members documented on
+    :class:`~repro.runtime.distributed_kmeans.SharedStorage`; refs are
+    :class:`SpillHandle` descriptors of files ``{name}.{rank}`` in one
+    :class:`SpillStore`.  ``local`` maps a rank's files for the turn only
+    (``read`` maps read-only, ``write`` maps read-write, flushed when the
+    turn ends); ``view`` maps one file for the driver; ``collect`` hands
+    out the handles themselves, which the checkpoint store materialises one
+    at a time.  ``persistent_state`` is false: ranks keep no sweep
+    workspace between turns.
+    """
+
+    persistent_state = False
+
+    def __init__(self, comm: Comm, store: SpillStore) -> None:
+        self.comm = comm
+        self.store = store
+
+    def put(self, name: str, r: int, array: np.ndarray) -> SpillHandle:
+        return self.store.put(f"{name}.{r}", array)
+
+    stash = put
+
+    @staticmethod
+    def view(ref: SpillHandle) -> np.memmap:
+        return ref.open("r")
+
+    @staticmethod
+    def local(fn, read=(), write=()):
+        fields = (*read, *write)
+        nread = len(read)
+
+        def turn(r: int):
+            maps = [f[r].open("r" if i < nread else "r+") for i, f in enumerate(fields)]
+            out = fn(r, *maps)
+            for written in maps[nread:]:
+                written.flush()
+            return out
+
+        return turn
+
+    @staticmethod
+    def collect(refs: list[SpillHandle]) -> list[SpillHandle]:
+        return list(refs)
+
+    def gather(self, values: list[SpillHandle], ids: list[SpillHandle], n: int) -> SpillHandle:
+        self.comm.set_stage("gather")
+        return _scatter_to_original_order(self.comm, self.store, values, ids, n)
+
+    def release(self, *refs: SpillHandle) -> None:
+        self.store.remove(*refs)
+
+
+def _read_rows(fields: dict[str, list[SpillHandle]], r: int) -> dict[str, np.ndarray]:
+    return {name: handles[r].read() for name, handles in fields.items()}
+
+
+def _put_rows(store: SpillStore, r: int, arrays: dict[str, np.ndarray],
+              order: np.ndarray | None = None) -> dict[str, SpillHandle]:
+    """Write rank ``r``'s fields as ``{field}.{r}``, reordered by ``order`` if given."""
+    return {name: store.put(f"{name}.{r}", arr if order is None else arr[order])
+            for name, arr in arrays.items()}
+
+
+def _transpose(per_rank: list[dict]) -> dict[str, list]:
+    return {name: [entry[name] for entry in per_rank] for name in per_rank[0]}
+
+
+class _SpillRows:
+    """Rows of the out-of-core sort: one spill file ``{field}.{rank}`` per field.
+
+    ``fields`` maps ``"keys"`` and the payload fields to per-rank handles.
+    Every operation rewrites the files under the same names; the sort
+    itself (:func:`~repro.runtime.distsort.sample_sort`) decides what to do.
+    """
+
+    def __init__(self, comm: Comm, store: SpillStore, fields: dict[str, list[SpillHandle]]) -> None:
+        self.comm = comm
+        self.store = store
+        self.fields = fields
+
+    def permute(self, order_of) -> None:
+        store, fields = self.store, self.fields
+
+        def turn(r: int) -> dict:
+            arrays = _read_rows(fields, r)
+            return _put_rows(store, r, arrays, order_of(arrays["keys"]))
+
+        self.fields = _transpose(self.comm.run_local(turn))
+
+    def map_keys(self, fn) -> list:
+        keys = self.fields["keys"]
+        return self.comm.run_local(lambda r: fn(keys[r].read()))
+
+    def exchange(self, route_of, merge=None) -> np.ndarray:
+        store = self.store
+
+        def finish(r: int, arrays: dict) -> dict:
+            return _put_rows(store, r, arrays, None if merge is None else merge(arrays["keys"]))
+
+        self.fields = _transpose(_exchange(self.comm, store, "sort", self.fields,
+                                           lambda r, arrays: route_of(r, arrays["keys"]), finish))
+        return np.array([h.rows for h in self.fields["keys"]], dtype=np.int64)
+
+
+def _charge_alltoallv(comm: Comm, store: SpillStore, tag: str, piece_rows: np.ndarray) -> None:
     """Charge the machine model for a file-mediated exchange (modeled backends).
 
-    ``piece_rows[r, j]`` counts rows sent from rank r to rank j; the cost is
+    ``piece_rows[r, j]`` counts rows sent from rank r to rank j; bytes per
+    row are estimated from the first non-empty piece file, and the cost is
     the same bottleneck-bytes formula :func:`combine_alltoallv` charges.
     Measured backends already captured the real I/O time in their supersteps.
     """
     machine = getattr(comm, "machine", None)
     if comm.measured or machine is None:
         return
-    p = piece_rows.shape[0]
-    bytes_ = piece_rows * row_bytes
-    off_diag = bytes_.copy()
+    row_bytes = 1
+    nonempty = np.argwhere(piece_rows > 0)
+    if nonempty.size:
+        r, j = nonempty[0]
+        size = os.path.getsize(_piece_path(store, tag, int(r), int(j)))
+        row_bytes = max(1, int(size // int(piece_rows[r, j])))
+    off_diag = piece_rows * row_bytes
     np.fill_diagonal(off_diag, 0)
     max_bytes = int(max(off_diag.sum(axis=1).max(), off_diag.sum(axis=0).max(), 0))
     comm.ledger.charge_comm(machine.alltoallv(max_bytes, comm.nranks), "alltoallv", comm._stage)
@@ -150,74 +248,42 @@ def _piece_path(store: SpillStore, tag: str, src: int, dst: int) -> str:
     return os.path.join(store.directory, f"{tag}.{src}to{dst}.npz")
 
 
-def _exchange(
-    comm: Comm,
-    store: SpillStore,
-    tag: str,
-    in_names: dict[str, str],
-    out_names: dict[str, str],
-    route_of,
-    merge_key: str | None = None,
-) -> np.ndarray:
-    """File-mediated alltoallv: split per-rank arrays by a route, regather.
+def _exchange(comm: Comm, store: SpillStore, tag: str, inputs: dict[str, list[SpillHandle]],
+              route_of, finish) -> list:
+    """File-mediated alltoallv over per-rank spill files.
 
-    ``in_names``/``out_names`` map logical field names to spill-name
-    prefixes (``f"{prefix}.{rank}"``).  ``route_of(r, rows)`` returns the
-    destination rank of each row of rank ``r``'s arrays.  Receivers
-    concatenate pieces in source-rank order — exactly
-    :func:`combine_alltoallv`'s ordering — and, when ``merge_key`` names a
-    field, stably argsort by it and permute every field (the distributed
-    sort's merge step).  Consumed inputs and piece files are deleted.
-    Returns the final per-rank row counts.
+    ``inputs`` maps field names to per-rank handles; ``route_of(r, arrays)``
+    returns the destination rank of each row of rank ``r``.  Every rank
+    writes one npz piece per destination; every receiver concatenates its
+    pieces in source-rank order — exactly :func:`combine_alltoallv`'s
+    ordering — deletes them, and returns ``finish(r, arrays)``, which
+    persists the received rows.  Inputs are left in place.  Returns the
+    per-rank ``finish`` results.
     """
     p = comm.nranks
 
     def scatter(r: int) -> np.ndarray:
-        first = store.handle(f"{in_names[next(iter(in_names))]}.{r}")
-        route = route_of(r, first.rows)
-        arrays = {key: np.load(store.path_for(f"{prefix}.{r}")) for key, prefix in in_names.items()}
+        arrays = _read_rows(inputs, r)
+        route = route_of(r, arrays)
         counts = np.zeros(p, dtype=np.int64)
         for j in range(p):
             mask = route == j
             counts[j] = int(mask.sum())
-            np.savez(_piece_path(store, tag, r, j), **{key: arr[mask] for key, arr in arrays.items()})
-        store.remove(*(f"{prefix}.{r}" for prefix in in_names.values()))
+            np.savez(_piece_path(store, tag, r, j), **{name: arr[mask] for name, arr in arrays.items()})
         return counts
 
     piece_rows = np.array(comm.run_local(scatter), dtype=np.int64)
-    _charge_alltoallv(comm, piece_rows, _exchange_row_bytes(store, tag, p, piece_rows))
+    _charge_alltoallv(comm, store, tag, piece_rows)
 
-    def gather(r: int) -> np.ndarray:
-        handles = [np.load(_piece_path(store, tag, s, r)) for s in range(p)]
-        order = None
-        if merge_key is not None:
-            keys = np.concatenate([h[merge_key] for h in handles])
-            order = np.argsort(keys, kind="stable")
-        rows = -1
-        for key, prefix in out_names.items():
-            arr = np.concatenate([h[key] for h in handles])
-            if order is not None:
-                arr = arr[order]
-            store.put(f"{prefix}.{r}", arr)
-            rows = arr.shape[0]
-        for h in handles:
-            h.close()
-        for s in range(p):
+    def gather(r: int):
+        pieces = [np.load(_piece_path(store, tag, s, r)) for s in range(p)]
+        arrays = {name: np.concatenate([piece[name] for piece in pieces]) for name in inputs}
+        for s, piece in enumerate(pieces):
+            piece.close()
             os.unlink(_piece_path(store, tag, s, r))
-        return np.array([rows], dtype=np.int64)
+        return finish(r, arrays)
 
-    rows = comm.run_local(gather)
-    return np.concatenate(rows)
-
-
-def _exchange_row_bytes(store: SpillStore, tag: str, p: int, piece_rows: np.ndarray) -> int:
-    """Average bytes per exchanged row, estimated from one non-empty piece."""
-    for r in range(p):
-        for j in range(p):
-            if piece_rows[r, j] > 0:
-                size = os.path.getsize(_piece_path(store, tag, r, j))
-                return max(1, int(size // int(piece_rows[r, j])))
-    return 1
+    return comm.run_local(gather)
 
 
 def ondisk_distributed_kmeans(
@@ -232,7 +298,6 @@ def ondisk_distributed_kmeans(
     backend: str | None = None,
     comm: Comm | None = None,
     spill_dir: str | os.PathLike | None = None,
-    keep_scratch: bool = False,
     checkpoint: CheckpointStore | str | None = None,
     checkpoint_every: int = 1,
     resume_from: CheckpointStore | str | None = None,
@@ -245,9 +310,9 @@ def ondisk_distributed_kmeans(
 
     spill_dir:
         Directory for per-rank spill files (default: a fresh temporary
-        directory).  The final assignment and per-shard output files live
-        here after the call; sort/exchange intermediates are deleted as
-        they are consumed unless ``keep_scratch``.
+        directory).  The final assignment and per-shard state files live
+        here after the call; sort, exchange and sampling intermediates are
+        deleted as they are consumed.
     resume_from:
         Restarts from an out-of-core checkpoint, bit-identically, with
         per-shard state streamed back to spill one shard at a time.
@@ -255,511 +320,77 @@ def ondisk_distributed_kmeans(
     cfg = config or BalancedKMeansConfig()
     if not isinstance(dataset, ShardedDataset):
         dataset = ShardedDataset(dataset)
-    n, dim = dataset.n, dataset.dim
-    k = check_k(k, n)
-    gen = ensure_rng(rng)
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    ckpt_store = CheckpointStore.ensure(checkpoint)
-    input_digest = f"sharded:{dataset.digest}"
-    resume = None
-    if resume_from is not None:
-        arrays, meta = load_resume_lazy(resume_from)
-        validate_meta(
-            meta,
-            kind=ONDISK_CHECKPOINT_KIND,
-            config_digest=cfg.digest(),
-            input_digest=input_digest,
-            checks=[("n", n), ("k", k)],
-        )
-        gen = restore_rng(meta["rng_state"])
-        resume = (arrays, meta)
-    if machine is None and topology is not None:
-        machine = topology.machine_model()
-    owns_comm = comm is None
-    if comm is None:
-        comm = make_comm(nranks, backend=backend, machine=machine, topology=topology)
-    elif comm.nranks != nranks:
-        raise ValueError(f"comm has {comm.nranks} ranks but nranks={nranks}")
-    if spill_dir is None:
-        spill_dir = tempfile.mkdtemp(prefix="repro-ondisk-")
-    store = SpillStore(spill_dir)
-    prev_stage = comm._stage
-    try:
-        return _ondisk_kmeans(
-            comm, dataset, store, n, dim, k, cfg, gen, centers,
-            ckpt_store=ckpt_store, checkpoint_every=checkpoint_every, resume=resume,
-            input_digest=input_digest, provenance=provenance, keep_scratch=keep_scratch,
-        )
-    finally:
-        if owns_comm:
-            comm.close()
-        else:
-            comm.set_stage(prev_stage)
+    k = check_k(k, dataset.n)
+    with _run_context(nranks, comm, backend, machine, topology, cfg=cfg, rng=rng, n=dataset.n, k=k,
+                      kind=ONDISK_CHECKPOINT_KIND, input_digest=f"sharded:{dataset.digest}",
+                      checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+                      resume_from=resume_from, provenance=provenance,
+                      load=load_resume_lazy) as (grid, gen, ckpt):
+        if spill_dir is None:
+            spill_dir = tempfile.mkdtemp(prefix="repro-ondisk-")
+        store = SpillStore(spill_dir)
+        local_pts, local_w, local_ids, glo, ghi = _lay_out(grid, store, dataset, cfg)
+        result, assignment = _kmeans_loop(grid, SpillStorage(grid, store), local_pts, local_w,
+                                          local_ids, glo, ghi, k, cfg, gen, centers, ckpt)
+    return OndiskKMeansResult(
+        assignment_handle=result.assignment,
+        centers=result.centers,
+        influence=result.influence,
+        iterations=result.iterations,
+        converged=result.converged,
+        imbalance=result.imbalance,
+        nranks=result.nranks,
+        block_weights=result.block_weights,
+        ledger=result.ledger,
+        backend=result.backend,
+        measured=result.measured,
+        spill_dir=store.directory,
+        shard_points=local_pts,
+        shard_weights=local_w,
+        shard_ids=local_ids,
+        shard_assignment=assignment,
+    )
 
 
-def _ondisk_kmeans(
-    comm: Comm,
-    dataset: ShardedDataset,
-    store: SpillStore,
-    n: int,
-    dim: int,
-    k: int,
-    cfg: BalancedKMeansConfig,
-    gen: np.random.Generator,
-    centers: np.ndarray | None,
-    ckpt_store: CheckpointStore | None,
-    checkpoint_every: int,
-    resume: tuple | None,
-    input_digest: str,
-    provenance: dict | None,
-    keep_scratch: bool,
-) -> OndiskKMeansResult:
-    nshards = int(resume[1]["nshards"]) if resume is not None else comm.nranks
-    grid = ShardGrid(comm, nshards)
-    if provenance is None and resume is not None:
-        provenance = resume[1].get("provenance")
-    ckpt_meta = {
-        "kind": ONDISK_CHECKPOINT_KIND,
-        "config_digest": cfg.digest(),
-        "data_digest": input_digest,
-        "n": n,
-        "k": k,
-        "nshards": nshards,
-        "checkpoint_every": checkpoint_every,
-        "provenance": provenance,
-    }
-    comm = grid
+def _lay_out(comm: Comm, store: SpillStore, dataset: ShardedDataset, cfg: BalancedKMeansConfig):
+    """Ingest the dataset block-wise, Hilbert-index it and sort it over the ranks.
+
+    Returns the per-rank SFC-sorted point, weight and original-id handles
+    plus the global bounding box.
+    """
     p = comm.nranks
+    n, dim = dataset.n, dataset.dim
     bits = cfg.sfc_bits or DEFAULT_BITS[dim]
 
     # -- ingest: deal global rows block-wise into per-rank spill files --------
     comm.set_stage("ingest")
     block_bounds = (np.arange(p + 1, dtype=np.int64) * n) // p
 
-    def ingest(r: int) -> np.ndarray:
+    def ingest(r: int) -> dict:
         lo, hi = int(block_bounds[r]), int(block_bounds[r + 1])
         pts, w, _ = dataset.read_rows(lo, hi)
-        if w is None:
-            w = np.ones(hi - lo)
-        store.put(f"pts0.{r}", pts)
-        store.put(f"w0.{r}", w)
-        store.put(f"ids0.{r}", np.arange(lo, hi, dtype=np.int64))
-        return np.array([hi - lo], dtype=np.int64)
+        return _put_rows(store, r, {"pts": pts, "w": np.ones(hi - lo) if w is None else w,
+                                    "ids": np.arange(lo, hi, dtype=np.int64)})
 
-    comm.run_local(ingest)
+    fields = _transpose(comm.run_local(ingest))
 
     # -- global bounding box: exact, straight from the manifest ---------------
     comm.set_stage("sfc_index")
     glo, ghi = dataset.bounding_box()
+    pts_handles = fields["pts"]
 
-    def index_rank(r: int) -> np.ndarray:
-        pts = store.handle(f"pts0.{r}").open("r")
-        keys = sfc_index(np.asarray(pts), curve=cfg.sfc_curve, bits=bits, box=(glo, ghi))
-        store.put(f"keys0.{r}", keys)
-        return np.zeros(0)
+    def index_rank(r: int) -> SpillHandle:
+        pts = np.asarray(pts_handles[r].open("r"))
+        return store.put(f"keys.{r}", sfc_index(pts, curve=cfg.sfc_curve, bits=bits, box=(glo, ghi)))
 
-    comm.run_local(index_rank)
+    fields = {"keys": comm.run_local(index_rank), **fields}
 
-    # -- out-of-core sample sort + equalising redistribution ------------------
+    # -- sample sort + equalising redistribution over spill files -------------
     comm.set_stage("redistribute")
-    counts = _ondisk_sort(comm, store)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-
-    try:
-        return _ondisk_loop(
-            comm, store, counts, offsets, glo, ghi, n, k, dim, cfg, gen, centers,
-            ckpt_store=ckpt_store, checkpoint_every=checkpoint_every, resume=resume,
-            ckpt_meta=ckpt_meta,
-        )
-    finally:
-        if not keep_scratch:
-            _cleanup_scratch(store, p)
-
-
-def _ondisk_sort(comm: Comm, store: SpillStore) -> np.ndarray:
-    """Replicate :func:`distributed_sort` (oversample 8, equalize) on spill files.
-
-    Input: ``keys0.r / pts0.r / w0.r / ids0.r``; output: sorted, equalised
-    ``pts.r / w.r / ids.r`` whose rank-order concatenation is the global
-    SFC order.  Returns final per-rank row counts.
-    """
-    p = comm.nranks
-
-    # 1. local stable sort; contribute oversampled splitter candidates
-    def local_sort(r: int) -> np.ndarray:
-        keys = np.load(store.path_for(f"keys0.{r}"))
-        order = np.argsort(keys, kind="stable")
-        lk = keys[order]
-        store.put(f"k1.{r}", lk)
-        for src, dst in (("pts0", "p1"), ("w0", "w1"), ("ids0", "i1")):
-            store.put(f"{dst}.{r}", np.load(store.path_for(f"{src}.{r}"))[order])
-        store.remove(f"keys0.{r}", f"pts0.{r}", f"w0.{r}", f"ids0.{r}")
-        if lk.size == 0:
-            return lk[:0]
-        # max(oversample, p) samples per rank, like distributed_sort: with
-        # fewer the pooled samples collapse into ~oversample quantile
-        # clusters and worst-case bins are O(n/oversample) regardless of p,
-        # which busts the O(n/p) per-rank budget the memory gate enforces.
-        pos = np.linspace(0, lk.size - 1,
-                          num=min(max(_SORT_OVERSAMPLE, p), lk.size)).astype(np.int64)
-        return lk[pos]
-
-    samples = comm.allgather(comm.run_local(local_sort))
-    if p == 1:
-        for src, dst in (("p1", "pts"), ("w1", "w"), ("i1", "ids")):
-            os.replace(store.path_for(f"{src}.0"), store.path_for(f"{dst}.0"))
-        store.remove("k1.0")
-        return np.array([store.handle("pts.0").rows], dtype=np.int64)
-    samples = np.sort(samples)
-    if samples.size == 0:
-        raise ValueError("cannot sort an empty dataset")
-    splitter_pos = (np.arange(1, p) * samples.size) // p
-    splitters = samples[splitter_pos]
-
-    # 2./3. splitter-bin exchange + stable merge by key
-    def route_bins(r: int, rows: int) -> np.ndarray:
-        keys = store.handle(f"k1.{r}").open("r")
-        return np.searchsorted(splitters, np.asarray(keys), side="right")
-
-    counts = _exchange(
-        comm, store, "x1",
-        in_names={"k": "k1", "p": "p1", "w": "w1", "i": "i1"},
-        out_names={"k": "k2", "p": "p2", "w": "w2", "i": "i2"},
-        route_of=route_bins,
-        merge_key="k",
-    )
-
-    # 4. exact equalising redistribution (order-preserving, sizes differ <= 1)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    total = int(counts.sum())
-
-    def route_equalize(r: int, rows: int) -> np.ndarray:
-        g = offsets[r] + np.arange(rows, dtype=np.int64)
-        return (g * p) // total
-
-    final = _exchange(
-        comm, store, "x2",
-        in_names={"k": "k2", "p": "p2", "w": "w2", "i": "i2"},
-        out_names={"p": "pts", "w": "w", "i": "ids"},
-        route_of=route_equalize,
-        merge_key=None,
-    )
-    return final
-
-
-def _cleanup_scratch(store: SpillStore, p: int) -> None:
-    names = []
-    for r in range(p):
-        names.extend(f"{prefix}.{r}" for prefix in
-                     ("keys0", "pts0", "w0", "ids0", "k1", "p1", "w1", "i1",
-                      "k2", "p2", "w2", "i2", "perm"))
-    store.remove(*names)
-
-
-def _ondisk_loop(
-    comm: Comm,
-    store: SpillStore,
-    counts: np.ndarray,
-    offsets: np.ndarray,
-    glo: np.ndarray,
-    ghi: np.ndarray,
-    n: int,
-    k: int,
-    dim: int,
-    cfg: BalancedKMeansConfig,
-    gen: np.random.Generator,
-    centers: np.ndarray | None,
-    ckpt_store: CheckpointStore | None,
-    checkpoint_every: int,
-    resume: tuple | None,
-    ckpt_meta: dict,
-) -> OndiskKMeansResult:
-    p = comm.nranks
-    PTS = [store.handle(f"pts.{r}") for r in range(p)]
-    W = [store.handle(f"w.{r}") for r in range(p)]
-    IDS = [store.handle(f"ids.{r}") for r in range(p)]
-
-    resuming = resume is not None
-    if resuming:
-        arrays, meta = resume
-        centers = np.array(arrays["centers"], dtype=np.float64, copy=True)
-
-    # -- SFC seeding from the global sorted order -----------------------------
-    comm.set_stage("seeding")
-    warm_start = centers is not None
-    if warm_start:
-        centers = np.array(centers, dtype=np.float64, copy=True)
-        if centers.shape != (k, dim):
-            raise ValueError(f"warm-start centers must have shape ({k}, {dim})")
-    else:
-        positions = seed_positions(n, k)
-
-        def local_seeds(r: int) -> np.ndarray:
-            inside = (positions >= offsets[r]) & (positions < offsets[r] + counts[r])
-            which = np.flatnonzero(inside)
-            rows = positions[which] - offsets[r]
-            pts = PTS[r].open("r")
-            return np.column_stack([which.astype(np.float64), np.asarray(pts[rows])])
-
-        seeds = comm.allgather(comm.run_local(local_seeds)).reshape(-1, dim + 1)
-        centers = np.empty((k, dim))
-        centers[seeds[:, 0].astype(np.int64)] = seeds[:, 1:]
-
-    influence = np.ones(k)
-    total_w = float(comm.allreduce(
-        comm.run_local(lambda r: np.array([float(W[r].open("r").sum())]))
-    )[0])
-    targets = np.full(k, total_w / k)
-    extent = ghi - glo
-    delta_threshold = cfg.delta_threshold_rel * float(np.linalg.norm(extent))
-
-    # -- per-rank mutable state in spill files --------------------------------
-    if resuming:
-        influence = np.array(np.asarray(arrays["influence"]), dtype=np.float64, copy=True)
-        for s in range(p):
-            chunk = np.ascontiguousarray(np.asarray(arrays[f"assign_{s:04d}"]), dtype=np.int64)
-            if chunk.shape[0] != int(counts[s]):
-                raise CheckpointMismatchError(
-                    f"checkpoint shard {s} holds {chunk.shape[0]} points but the "
-                    f"redistribution produced {int(counts[s])} — the checkpoint does "
-                    "not belong to this dataset/configuration"
-                )
-            store.put(f"a.{s}", chunk)
-            store.put(f"ub.{s}", np.ascontiguousarray(np.asarray(arrays[f"ub_{s:04d}"]), dtype=np.float64))
-            store.put(f"lb.{s}", np.ascontiguousarray(np.asarray(arrays[f"lb_{s:04d}"]), dtype=np.float64))
-    else:
-        for r in range(p):
-            store.put(f"a.{r}", np.zeros(int(counts[r]), dtype=np.int64))
-            ub, lb = init_bounds(int(counts[r]))
-            store.put(f"ub.{r}", ub)
-            store.put(f"lb.{r}", lb)
-    A = [store.handle(f"a.{r}") for r in range(p)]
-    UB = [store.handle(f"ub.{r}") for r in range(p)]
-    LB = [store.handle(f"lb.{r}") for r in range(p)]
-
-    rank_rngs = spawn_rngs(gen, p) if not resuming else None
-
-    # -- sampled initialisation rounds ----------------------------------------
-    sample_sizes = doubling_sizes(int(counts.min()), cfg) if not warm_start else []
-    if not resuming and sample_sizes:
-        # same per-rank permutation draws as the in-memory path (each rank's
-        # own spawned generator), spilled once and prefix-read per round
-        def spill_perm(r: int) -> np.ndarray:
-            store.put(f"perm.{r}", rank_rngs[r].permutation(int(counts[r])))
-            return np.zeros(0)
-
-        comm.run_local(spill_perm)
-    elif not resuming and rank_rngs is not None:
-        # in-memory draws the permutations unconditionally; match the draws
-        # (they come from the spawned children, not ``gen``) without spilling
-        for r in range(p):
-            rank_rngs[r].permutation(int(counts[r]))
-
-    incremental = bool(cfg.use_incremental and cfg.use_bounds)
-
-    def one_phase(sample_size: int | None, block_w0: np.ndarray | None = None):
-        """Mirror of the in-memory ``one_phase`` on spill handles."""
-        nonlocal influence
-        if sample_size is None:
-            s_pts, s_w, s_a = PTS, W, A
-            s_ub, s_lb = UB, LB
-            s_targets = targets
-        else:
-            sub_rows = [min(sample_size, int(counts[r])) for r in range(p)]
-
-            def make_subset(r: int) -> np.ndarray:
-                sel = np.asarray(store.handle(f"perm.{r}").open("r")[: sub_rows[r]])
-                pts = np.asarray(PTS[r].open("r"))[sel]
-                w = np.asarray(W[r].open("r"))[sel]
-                store.put(f"s_pts.{r}", pts)
-                store.put(f"s_w.{r}", w)
-                store.put(f"s_a.{r}", np.zeros(sel.shape[0], dtype=np.int64))
-                ub, lb = init_bounds(sel.shape[0])
-                store.put(f"s_ub.{r}", ub)
-                store.put(f"s_lb.{r}", lb)
-                return np.array([float(w.sum())])
-
-            wsums = comm.run_local(make_subset)
-            s_pts = [store.handle(f"s_pts.{r}") for r in range(p)]
-            s_w = [store.handle(f"s_w.{r}") for r in range(p)]
-            s_a = [store.handle(f"s_a.{r}") for r in range(p)]
-            s_ub = [store.handle(f"s_ub.{r}") for r in range(p)]
-            s_lb = [store.handle(f"s_lb.{r}") for r in range(p)]
-            frac = sum(float(ws[0]) for ws in wsums) / total_w
-            s_targets = targets * frac
-        balanced = False
-        block_w = (np.array(block_w0, dtype=np.float64, copy=True)
-                   if (incremental and block_w0 is not None) else None)
-        for bit in range(cfg.max_balance_iterations):
-            comm.set_stage("kmeans")
-
-            if block_w is not None:
-
-                def sweep_delta(r: int) -> np.ndarray:
-                    pts = s_pts[r].open("r")
-                    w = s_w[r].open("r")
-                    a = s_a[r].open("r+")
-                    ub = s_ub[r].open("r+")
-                    lb = s_lb[r].open("r+")
-                    delta = np.zeros(k)
-                    assign_points(pts, centers, influence, a, ub, lb, cfg,
-                                  workspace=None, weights=w, delta_out=delta)
-                    a.flush(); ub.flush(); lb.flush()
-                    return delta
-
-                block_w = block_w + comm.allreduce(comm.run_local(sweep_delta))
-            else:
-
-                def sweep(r: int) -> np.ndarray:
-                    pts = s_pts[r].open("r")
-                    w = s_w[r].open("r")
-                    a = s_a[r].open("r+")
-                    ub = s_ub[r].open("r+")
-                    lb = s_lb[r].open("r+")
-                    assign_points(pts, centers, influence, a, ub, lb, cfg, workspace=None)
-                    a.flush(); ub.flush(); lb.flush()
-                    return np.bincount(np.asarray(a), weights=np.asarray(w), minlength=k)
-
-                block_w = comm.allreduce(comm.run_local(sweep))
-            imbalance = float((block_w / s_targets).max() - 1.0)
-            if imbalance <= cfg.epsilon:
-                balanced = True
-                break
-            if bit == cfg.max_balance_iterations - 1:
-                break
-            old_influence = influence.copy()
-            influence = adapt_influence(
-                influence, block_w, s_targets, dim,
-                cap=cfg.influence_change_cap, floor=cfg.influence_floor, ceil=cfg.influence_ceil,
-            )
-            if cfg.use_bounds:
-
-                def relax_rank(r: int) -> np.ndarray:
-                    a = s_a[r].open("r")
-                    ub = s_ub[r].open("r+")
-                    lb = s_lb[r].open("r+")
-                    _relax_influence_local((ub, lb), a, old_influence, influence, None, cfg)
-                    ub.flush(); lb.flush()
-                    return np.zeros(0)
-
-                comm.run_local(relax_rank)
-            if not incremental:
-                block_w = None
-
-        def partial_sums(r: int) -> np.ndarray:
-            return center_partial_sums(s_pts[r].open("r"), s_w[r].open("r"),
-                                       s_a[r].open("r"), k)
-
-        totals = comm.allreduce(comm.run_local(partial_sums)).reshape(k, dim + 1)
-        wsum = totals[:, dim]
-        new_centers = np.where(wsum[:, None] > 0,
-                               totals[:, :dim] / np.maximum(wsum, 1e-300)[:, None], centers)
-        deltas = np.linalg.norm(new_centers - centers, axis=1)
-
-        old_influence = influence.copy()
-        if cfg.use_erosion:
-
-            def diameter_sums(r: int) -> np.ndarray:
-                return diameter_partial_sums(s_pts[r].open("r"), s_w[r].open("r"),
-                                             s_a[r].open("r"), new_centers)
-
-            dsums = comm.allreduce(comm.run_local(diameter_sums))
-            sq_sums, cnts = dsums[:k], dsums[k:]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                diam = 2.0 * np.sqrt(np.where(cnts > 0, sq_sums / np.maximum(cnts, 1e-300), 0.0))
-            positive = diam[diam > 0]
-            beta = float(positive.mean()) if positive.size else 0.0
-            influence = erode_influence(influence, deltas, beta,
-                                        floor=cfg.influence_floor, ceil=cfg.influence_ceil)
-        if sample_size is None and cfg.use_bounds:
-
-            def relax_full(r: int) -> np.ndarray:
-                a = A[r].open("r")
-                ub = UB[r].open("r+")
-                lb = LB[r].open("r+")
-                _relax_influence_local((ub, lb), a, old_influence, influence, None, cfg)
-                _relax_movement_local((ub, lb), a, deltas, influence, None, cfg)
-                ub.flush(); lb.flush()
-                return np.zeros(0)
-
-            comm.run_local(relax_full)
-        if sample_size is not None:
-            store.remove(*(f"s_{nm}.{r}" for nm in ("pts", "w", "a", "ub", "lb")
-                           for r in range(p)))
-        return float(deltas.max()), new_centers, balanced, block_w
-
-    for size in sample_sizes:
-        _, centers, _, _ = one_phase(size)
-
-    converged = False
-    iterations = 0
-    final_imbalance = np.inf
-    prev_block_w: np.ndarray | None = None
-    start_it = 0
-    if resuming:
-        start_it = int(meta["iteration"])
-        iterations = start_it
-        block_w = np.array(np.asarray(arrays["block_w"]), dtype=np.float64, copy=True)
-        final_imbalance = float((block_w / targets).max() - 1.0)
-        if incremental:
-            prev_block_w = block_w
-    for it in range(start_it, cfg.max_iterations):
-        iterations = it + 1
-        max_delta, new_centers, balanced, block_w = one_phase(None, prev_block_w)
-        if incremental:
-            final_imbalance = float((block_w / targets).max() - 1.0)
-            prev_block_w = block_w
-        else:
-
-            def full_bincount(r: int) -> np.ndarray:
-                return np.bincount(np.asarray(A[r].open("r")),
-                                   weights=np.asarray(W[r].open("r")), minlength=k)
-
-            block_w = comm.allreduce(comm.run_local(full_bincount))
-            final_imbalance = float((block_w / targets).max() - 1.0)
-        if max_delta < delta_threshold and balanced:
-            converged = True
-            break
-        centers = new_centers
-        if ckpt_store is not None and (it + 1) % checkpoint_every == 0:
-            comm.set_stage("checkpoint")
-            ck_arrays: dict = {
-                "centers": np.asarray(centers, dtype=np.float64),
-                "influence": np.asarray(influence, dtype=np.float64),
-                "block_w": np.asarray(block_w, dtype=np.float64),
-            }
-            for s in range(p):
-                ck_arrays[f"assign_{s:04d}"] = A[s]
-                ck_arrays[f"ub_{s:04d}"] = UB[s]
-                ck_arrays[f"lb_{s:04d}"] = LB[s]
-            meta_out = dict(ckpt_meta)
-            meta_out["iteration"] = int(it + 1)
-            meta_out["rng_state"] = rng_state(gen)
-            ckpt_store.save(ck_arrays, meta_out)
-
-    # -- scatter the assignment back to original (global row) order ----------
-    comm.set_stage("gather")
-    assignment_handle = _scatter_to_original_order(comm, store, A, IDS, n)
-
-    return OndiskKMeansResult(
-        assignment_handle=assignment_handle,
-        centers=centers,
-        influence=influence,
-        iterations=iterations,
-        converged=converged,
-        imbalance=final_imbalance,
-        nranks=p,
-        block_weights=np.array(block_w, dtype=np.float64, copy=True),
-        ledger=comm.ledger,
-        backend=comm.kind,
-        measured=comm.measured,
-        spill_dir=store.directory,
-        shard_points=PTS,
-        shard_weights=W,
-        shard_ids=IDS,
-        shard_assignment=A,
-    )
+    rows = _SpillRows(comm, store, fields)
+    sample_sort(comm, rows)
+    store.remove(*rows.fields["keys"])
+    return rows.fields["pts"], rows.fields["w"], rows.fields["ids"], glo, ghi
 
 
 def _scatter_to_original_order(
@@ -772,44 +403,28 @@ def _scatter_to_original_order(
 ) -> SpillHandle:
     """External scatter: write ``out[ids[r]] = values[r]`` with O(n/p) memory.
 
-    Ranks bucket their (id, value) pairs by contiguous id range; each
-    bucket is then assembled in memory (one bucket is O(n/p) rows) and
-    written to the output file through seek-based windowed I/O — the O(n)
-    result file is never memory-mapped, keeping the address-space footprint
-    bounded.  Every id must appear exactly once across ranks.
+    An :func:`_exchange` routes every (id, value) pair to the rank owning
+    its contiguous id range; that rank assembles its range in memory (O(n/p)
+    rows) and writes it into the output file through seek-based windowed
+    I/O — the O(n) result file is never memory-mapped, keeping the
+    address-space footprint bounded.  Every id must appear exactly once
+    across ranks.
     """
-    p = comm.nranks
-    bucket_bounds = (np.arange(p + 1, dtype=np.int64) * n) // p
-    dtype = np.dtype(values[0].dtype)
+    bucket_bounds = (np.arange(comm.nranks + 1, dtype=np.int64) * n) // comm.nranks
+    out = store.create(name, (n,) + tuple(values[0].shape[1:]), values[0].dtype)
 
-    def scatter(r: int) -> np.ndarray:
-        ids_r = np.asarray(ids[r].read())
-        vals_r = np.asarray(values[r].read())
-        sizes = np.zeros(p, dtype=np.int64)
-        for b in range(p):
-            mask = (ids_r >= bucket_bounds[b]) & (ids_r < bucket_bounds[b + 1])
-            sizes[b] = int(mask.sum())
-            np.savez(_piece_path(store, f"fin-{name}", r, b), i=ids_r[mask], v=vals_r[mask])
-        return sizes
-
-    piece_rows = np.array(comm.run_local(scatter), dtype=np.int64)
-    out = store.create(name, (n,) + tuple(values[0].shape[1:]), dtype)
-    for b in range(p):
+    def write_bucket(b: int, rows: dict) -> None:
         lo, hi = int(bucket_bounds[b]), int(bucket_bounds[b + 1])
-        got = int(piece_rows[:, b].sum())
-        if got != hi - lo:
+        if rows["i"].shape[0] != hi - lo:
             raise RuntimeError(
-                f"scatter bucket {b} received {got} rows for {hi - lo} ids — "
+                f"scatter bucket {b} received {rows['i'].shape[0]} rows for {hi - lo} ids — "
                 "ids are not a permutation of the output range"
             )
-        parts = [np.load(_piece_path(store, f"fin-{name}", r, b)) for r in range(p)]
-        ids_cat = np.concatenate([prt["i"] for prt in parts])
-        vals_cat = np.concatenate([prt["v"] for prt in parts])
-        for prt in parts:
-            prt.close()
-        buf = np.empty((hi - lo,) + tuple(values[0].shape[1:]), dtype=dtype)
-        buf[ids_cat - lo] = vals_cat
+        buf = np.empty((hi - lo,) + tuple(out.shape[1:]), dtype=out.dtype)
+        buf[rows["i"] - lo] = rows["v"]
         out.write_rows(lo, buf)
-        for r in range(p):
-            os.unlink(_piece_path(store, f"fin-{name}", r, b))
+
+    _exchange(comm, store, f"fin-{name}", {"i": ids, "v": values},
+              lambda r, rows: np.searchsorted(bucket_bounds, rows["i"], side="right") - 1,
+              write_bucket)
     return out

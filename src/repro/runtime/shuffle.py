@@ -210,24 +210,20 @@ def shuffle_to_disk(
     backend: str | None = None,
     machine: MachineModel | None = None,
     topology: MachineTopology | None = None,
-    keep_scratch: bool = False,
 ) -> ShuffleOutput:
     """Out-of-core shuffle of an :class:`OndiskKMeansResult` into ``out_dir``.
 
     Reads the run's per-rank spill handles (``shard_points`` etc.), routes
-    rows to block owners through a file-mediated alltoallv (npz piece files,
-    charged to the machine model on modeled backends), and writes per rank:
+    rows to block owners through the out-of-core runner's file-mediated
+    alltoallv (:func:`repro.runtime.ondisk._exchange`, charged to the
+    machine model on modeled backends) with the canonical (assignment, id)
+    order as its merge step, and writes per rank:
     ``rank-NNNN.points.npy`` / ``.weights.npy`` / ``.ids.npy`` /
-    ``.assignment.npy`` in canonical (assignment, id) order, plus the global
-    ``remap.npy`` and the ``shuffle.json`` manifest.  Peak memory is
-    O(n/p); the O(n) remap file is written through seek-based windows.
+    ``.assignment.npy``, plus the global ``remap.npy`` and the
+    ``shuffle.json`` manifest.  Peak memory is O(n/p); the O(n) remap file
+    is written through seek-based windows.
     """
-    from repro.runtime.ondisk import (
-        _charge_alltoallv,
-        _exchange_row_bytes,
-        _piece_path,
-        _scatter_to_original_order,
-    )
+    from repro.runtime.ondisk import _exchange, _scatter_to_original_order
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -248,49 +244,22 @@ def shuffle_to_disk(
     prev_stage = comm._stage
     comm.set_stage("shuffle")
     try:
-        def scatter(r: int) -> np.ndarray:
-            a = np.asarray(A[r].read())
-            route = owners[a]
-            pts = np.asarray(PTS[r].read())
-            w = np.asarray(W[r].read())
-            ids = np.asarray(IDS[r].read())
-            sizes = np.zeros(p, dtype=np.int64)
-            for j in range(p):
-                mask = route == j
-                sizes[j] = int(mask.sum())
-                np.savez(_piece_path(scratch, "shuffle", r, j),
-                         p=pts[mask], w=w[mask], i=ids[mask], a=a[mask])
-            return sizes
-
-        piece_rows = np.array(comm.run_local(scatter), dtype=np.int64)
-        _charge_alltoallv(comm, piece_rows,
-                          _exchange_row_bytes(scratch, "shuffle", p, piece_rows))
-
-        def gather(j: int) -> np.ndarray:
-            pieces = [np.load(_piece_path(scratch, "shuffle", s, j)) for s in range(p)]
-            ids_j = np.concatenate([pc["i"] for pc in pieces])
-            a_j = np.concatenate([pc["a"] for pc in pieces])
-            order = _canonical_order(a_j, ids_j)
-            ids_j, a_j = ids_j[order], a_j[order]
-            pts_j = np.concatenate([pc["p"] for pc in pieces])[order]
-            w_j = np.concatenate([pc["w"] for pc in pieces])[order]
-            for pc in pieces:
-                pc.close()
-            for s in range(p):
-                os.unlink(_piece_path(scratch, "shuffle", s, j))
-            for fld, arr in (("points", pts_j), ("weights", w_j),
-                             ("ids", ids_j), ("assignment", a_j)):
+        def write_rank(j: int, rows: dict) -> int:
+            order = _canonical_order(rows["a"], rows["i"])
+            for fld, key in (("points", "p"), ("weights", "w"), ("ids", "i"), ("assignment", "a")):
                 np.save(os.path.join(out, f"rank-{j:04d}.{fld}.npy"),
-                        np.ascontiguousarray(arr))
+                        np.ascontiguousarray(rows[key][order]))
             # remap source: global id -> (owner rank, local index)
+            ids_j = rows["i"][order]
             scratch.put(f"rmv.{j}", np.column_stack([
                 np.full(ids_j.shape[0], j, dtype=np.int64),
                 np.arange(ids_j.shape[0], dtype=np.int64),
             ]))
             scratch.put(f"rmi.{j}", ids_j)
-            return np.array([ids_j.shape[0]], dtype=np.int64)
+            return ids_j.shape[0]
 
-        counts = np.concatenate(comm.run_local(gather))
+        counts = np.array(_exchange(comm, scratch, "shuffle", {"p": PTS, "w": W, "i": IDS, "a": A},
+                                    lambda r, rows: owners[rows["a"]], write_rank), dtype=np.int64)
         remap = _scatter_to_original_order(
             comm, scratch,
             values=[scratch.handle(f"rmv.{j}") for j in range(p)],
@@ -316,8 +285,7 @@ def shuffle_to_disk(
         return ShuffleOutput(directory=str(out), n=n, k=k, nranks=p,
                              counts=counts, owner=owners, digests=digests)
     finally:
-        if not keep_scratch:
-            scratch.cleanup()
+        scratch.cleanup()
         if owns_comm:
             comm.close()
         else:

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.config import BalancedKMeansConfig
 from repro.io.sharded import ShardedDataset, write_sharded
-from repro.runtime.checkpoint import CheckpointMismatchError, CheckpointStore
+from repro.runtime.checkpoint import CheckpointError, CheckpointMismatchError, CheckpointStore
+from repro.runtime.comm import make_comm
 from repro.runtime.distributed_kmeans import distributed_balanced_kmeans
 from repro.runtime.ondisk import ondisk_distributed_kmeans
 
@@ -28,12 +29,23 @@ def _assert_same_partition(mem, dsk):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_virtual_backend_matches_in_memory(self, tmp_path, p):
+    @pytest.mark.parametrize("p, cfg, warm", [
+        pytest.param(1, CFG, False, id="1"),
+        pytest.param(2, CFG, False, id="2"),
+        pytest.param(4, CFG, False, id="4"),
+        # the driver loop's other branches, on spill storage
+        pytest.param(2, BalancedKMeansConfig(epsilon=0.02, use_incremental=False), False,
+                     id="2-full-bincount"),
+        pytest.param(2, BalancedKMeansConfig(epsilon=0.02, use_bounds=False), False, id="2-no-bounds"),
+        pytest.param(3, BalancedKMeansConfig(epsilon=0.02, use_erosion=False), False, id="3-no-erosion"),
+        pytest.param(2, CFG, True, id="2-warm-start"),
+    ])
+    def test_virtual_backend_matches_in_memory(self, tmp_path, p, cfg, warm):
         pts, w = _points()
         ds = write_sharded(tmp_path / "ds", pts, weights=w, shard_rows=173)
-        mem = distributed_balanced_kmeans(pts, 4, p, weights=w, config=CFG, rng=7)
-        dsk = ondisk_distributed_kmeans(ds, 4, p, config=CFG, rng=7)
+        centers = pts[np.random.default_rng(5).choice(len(pts), 4, replace=False)] if warm else None
+        mem = distributed_balanced_kmeans(pts, 4, p, weights=w, config=cfg, rng=7, centers=centers)
+        dsk = ondisk_distributed_kmeans(ds, 4, p, config=cfg, rng=7, centers=centers)
         _assert_same_partition(mem, dsk)
 
     def test_unweighted(self, tmp_path):
@@ -127,6 +139,21 @@ class TestOndiskResume:
         ondisk_distributed_kmeans(ds, 4, 2, config=CFG, rng=7, checkpoint=store)
         with pytest.raises(CheckpointMismatchError):
             ondisk_distributed_kmeans(other, 4, 2, config=CFG, rng=7, resume_from=store)
+
+    def test_corrupt_fault_hits_an_ondisk_save(self, tmp_path):
+        pts, w = _points(seed=23)
+        ds = write_sharded(tmp_path / "ds", pts, weights=w, shard_rows=211)
+        store = CheckpointStore(tmp_path / "ckpt", keep=100)
+        with make_comm(2, faults="corrupt:index=1") as comm:
+            ondisk_distributed_kmeans(ds, 4, 2, config=CFG, rng=7, comm=comm, checkpoint=store)
+        assert comm.fault_plan.unfired() == []
+        unloadable = []
+        for path in store.candidates():
+            try:
+                store.load(path)
+            except CheckpointError:
+                unloadable.append(path)
+        assert unloadable == [store.path_for(1)]
 
     def test_checkpoint_meta_records_manifest_digest(self, tmp_path):
         pts, w = _points(n=200, seed=37)

@@ -29,13 +29,6 @@ class TestDistributedSort:
         sizes = [len(a) for a in out]
         assert max(sizes) - min(sizes) <= 1
 
-    def test_without_equalize(self):
-        keys = _random_input(4, 2)
-        comm = VirtualComm(4)
-        out, _ = distributed_sort(comm, keys, equalize=False)
-        cat = np.concatenate(out)
-        assert np.array_equal(cat, np.sort(np.concatenate(keys)))
-
     def test_payload_travels_with_keys(self):
         rng = np.random.default_rng(3)
         keys = [rng.permutation(20) + 20 * r for r in range(3)]
