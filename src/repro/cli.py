@@ -560,8 +560,7 @@ def _cmd_resume(args) -> None:
                         f"k={provenance['k']}, {provenance['steps']} steps"))
     else:
         raise SystemExit(
-            f"don't know how to resume a {kind!r} checkpoint from the CLI "
-            "(serial-kmeans checkpoints resume through balanced_kmeans(resume_from=...))"
+            f"don't know how to resume a {kind!r} checkpoint from the CLI"
         )
 
 

@@ -1,7 +1,7 @@
-"""Vectorised assign-and-balance phase (Algorithm 1).
+"""Vectorised assignment sweep and per-rank reductions (Algorithm 1's kernels).
 
-The paper's inner loop is per-point; here the same logic is expressed over
-numpy arrays:
+The paper's inner loop is per-point; :func:`assign_points` expresses one
+sweep of it over numpy arrays:
 
 - the Hamerly filter ``ub < lb`` selects, in one vector comparison, the
   points whose assignment provably cannot have changed (line 9);
@@ -11,48 +11,45 @@ numpy arrays:
   *maximum* effective distance of any center to that box can be neither the
   best nor the runner-up for any point in the box, so dropping it cannot
   change assignments or bounds (the two centers defining the threshold are
-  always kept, making the rule self-consistent);
-- after assignment, block weights are reduced and influence values adapted
-  (Eq. 1); the loop repeats until balanced or the iteration cap is hit.
+  always kept, making the rule self-consistent).
 
 All sweep-invariant geometry (point norms, center norms, ``influence**-2``,
 static SFC block boxes, scratch buffers) lives in a
 :class:`~repro.core.kernels.SweepWorkspace` threaded through every call; the
 top-2 reduction itself runs in squared space (see
-:mod:`repro.geometry.distances`).  When ``sfc_sort`` is on, chunks are
-aligned to the workspace's static blocks so the pruning rule reuses boxes
-computed once per run and box-to-center distances computed once per phase.
+:mod:`repro.geometry.distances`).  With box pruning on, chunks are aligned
+to the workspace's static blocks so the pruning rule reuses boxes computed
+once per run and box-to-center distances computed once per phase.
 
 Incremental engine (``config.use_incremental``, default on): the workspace's
 per-sub-block bound aggregates certify whole sub-blocks unchanged without
 reading any per-point array, so the per-sweep active scan runs only inside
 woken sub-blocks (with an adaptive fallback to the global scan when the
 trajectory is churning); each sweep additionally reports the per-cluster
-*weight delta* of the assignments it changed, so :func:`assign_and_balance`
-maintains the block weights incrementally instead of re-bincounting all
-``n`` points every balance iteration, and the bound relaxations between
-iterations use the candidate-local (cluster-exact) forms via the workspace.
-Every relaxation keeps the bounds *valid*, and every evaluation is exact,
-so assignments, influence, imbalance and block weights are identical to the
-full path; see
-:class:`~repro.core.config.BalancedKMeansConfig.use_incremental` for the
-exactness caveat on non-integer weights.
+*weight delta* of the assignments it changed, so the caller can maintain
+the block weights incrementally instead of re-bincounting all ``n`` points
+every balance iteration, and the bound relaxations between iterations use
+the candidate-local (cluster-exact) forms via the workspace.  Every
+relaxation keeps the bounds *valid*, and every evaluation is exact, so
+assignments, influence, imbalance and block weights are identical to the
+full path; see :class:`~repro.core.config.BalancedKMeansConfig
+.use_incremental` for the exactness caveat on non-integer weights.
 
-In the distributed runtime the block-weight reduction (line 31, the only
-communication in Algorithm 1) becomes an allreduce over ranks — of the
-k-vector of deltas in incremental mode; all other steps read rank-local
-arrays only.
+The balance loop itself — sweeps, the block-weight allreduce (line 31, the
+only communication in Algorithm 1; of the k-vector of deltas in
+incremental mode) and influence adaptation — is written once, for any rank
+count, in :func:`repro.runtime.distributed_kmeans._kmeans_loop`; the serial
+:func:`~repro.core.balanced_kmeans.balanced_kmeans` runs it on one rank.
+The per-rank partial sums for the center update and erosion live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bounds import relax_for_influence, relax_for_influence_exclusive
 from repro.core.config import BalancedKMeansConfig
-from repro.core.influence import adapt_influence
 from repro.core.kernels import SweepWorkspace, resolve_backend
 from repro.core.parallel import get_executor
 from repro.geometry.boxes import BoundingBox
@@ -60,7 +57,6 @@ from repro.geometry.boxes import BoundingBox
 __all__ = [
     "AssignStats",
     "assign_points",
-    "assign_and_balance",
     "center_partial_sums",
     "diameter_partial_sums",
 ]
@@ -427,113 +423,3 @@ def assign_points(
         # bound is now current, so seed all aggregates once
         workspace.maybe_refresh_all(assignment, ub, lb)
     return need_count
-
-
-@dataclass
-class BalanceOutcome:
-    """Result of one assign-and-balance phase."""
-
-    influence: np.ndarray
-    block_weights: np.ndarray
-    imbalance: float
-    balance_iterations: int = 0
-    balanced: bool = False
-    stats: AssignStats = field(default_factory=AssignStats)
-
-
-def assign_and_balance(
-    points: np.ndarray,
-    weights: np.ndarray,
-    centers: np.ndarray,
-    influence: np.ndarray,
-    assignment: np.ndarray,
-    ub: np.ndarray,
-    lb: np.ndarray,
-    target_weights: np.ndarray,
-    config: BalancedKMeansConfig,
-    workspace: SweepWorkspace | None = None,
-    initial_block_weights: np.ndarray | None = None,
-) -> BalanceOutcome:
-    """Algorithm 1: alternate assignment sweeps with influence adaptation.
-
-    Mutates ``assignment``, ``ub``, ``lb`` in place; returns the new influence
-    vector (the input array is not modified) plus balance diagnostics.
-    ``workspace`` (optional) is reused across the phase's sweeps; the phase
-    geometry is refreshed unconditionally on entry, so callers may mutate
-    ``centers`` in place between phases.
-
-    In incremental mode the block weights are maintained from per-sweep
-    assignment deltas: one full ``bincount`` when the phase has no prior
-    weight vector, then ``block_w += delta`` per balance iteration.
-    ``initial_block_weights`` lets a caller skip even that first full
-    reduction by passing the previous phase's block weights — valid only
-    when ``assignment`` is untouched since they were computed.
-
-    On a device backend the whole loop runs inside one device session:
-    assignment/ub/lb upload once on entry and download once on exit, and
-    each balance iteration exchanges only k-sized vectors (block weights,
-    influence ratios) with the device.
-    """
-    k = centers.shape[0]
-    dim = points.shape[1]
-    influence = np.array(influence, dtype=np.float64, copy=True)
-    if workspace is None:
-        workspace = SweepWorkspace(points, config, k)
-    workspace.begin_phase(centers)
-    incremental = workspace.incremental
-    device = workspace.device_mode
-    stats = AssignStats()
-    block_w: np.ndarray | None = None
-    if incremental and initial_block_weights is not None:
-        block_w = np.array(initial_block_weights, dtype=np.float64, copy=True)
-    imbalance = np.inf
-    balanced = False
-    iterations = 0
-    if device:
-        # device-resident session: the per-point state uploads once here and
-        # downloads once in the finally below, so the balance iterations in
-        # between exchange only k-sized vectors with the device (the host
-        # assignment/ub/lb arrays are stale until the session ends)
-        workspace.begin_device_session(assignment, ub, lb, weights)
-    try:
-        for it in range(config.max_balance_iterations):
-            iterations = it + 1
-            if device:
-                assign_points(points, centers, influence, assignment, ub, lb, config, stats, workspace)
-                block_w = workspace.device_block_weights(assignment, weights)
-            elif incremental and block_w is not None:
-                delta = np.zeros(k)
-                assign_points(points, centers, influence, assignment, ub, lb, config, stats,
-                              workspace, weights=weights, delta_out=delta)
-                block_w = block_w + delta
-            else:
-                assign_points(points, centers, influence, assignment, ub, lb, config, stats, workspace)
-                block_w = np.bincount(assignment, weights=weights, minlength=k)
-            imbalance = float((block_w / target_weights).max() - 1.0)
-            if imbalance <= config.epsilon:
-                balanced = True
-                break
-            if it == config.max_balance_iterations - 1:
-                break  # keep influence consistent with the final assignment
-            old_influence = influence
-            influence = adapt_influence(
-                influence,
-                block_w,
-                target_weights,
-                dim,
-                cap=config.influence_change_cap,
-                floor=config.influence_floor,
-                ceil=config.influence_ceil,
-            )
-            if config.use_bounds:
-                if device:
-                    workspace.device_relax_influence(old_influence, influence)
-                elif not (incremental and workspace.queue_relax_influence(assignment, ub, lb, old_influence, influence)):
-                    relax = relax_for_influence_exclusive if incremental else relax_for_influence
-                    ratio_max, ratio_min = relax(ub, lb, assignment, old_influence, influence)
-                    workspace.note_influence_relax(ratio_max, ratio_min)
-    finally:
-        if device:
-            workspace.end_device_session()
-    stats.balance_iterations = iterations
-    return BalanceOutcome(influence, block_w, imbalance, iterations, balanced, stats)

@@ -1,49 +1,38 @@
-"""Balanced k-means driver (Algorithm 2).
+"""Balanced k-means (Algorithm 2), serial entry point.
 
-Single-address-space implementation; the SPMD version that mirrors the
-paper's MPI structure lives in :mod:`repro.runtime.distributed_kmeans` and
-reuses the same kernels (`assign_and_balance`, influence/bound updates) on
-rank-local arrays.
+There is one Algorithm 1/2 loop in the package,
+:func:`repro.runtime.distributed_kmeans._kmeans_loop`, written once for any
+number of ranks (§4.1: the parallel code *is* the algorithm).
+:func:`balanced_kmeans` is that loop on one virtual rank: it validates the
+input, sorts the points along the space-filling curve (the one-rank case of
+the distributed sort and redistribution), computes random or k-means++
+initial centers when the seeding ablation asks for them, and runs the loop
+over plain driver arrays.  Its results equal
+``distributed_balanced_kmeans(..., nranks=1)`` bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import numpy as np
 
-from repro.core.assign import assign_and_balance
-from repro.core.bounds import (
-    init_bounds,
-    relax_for_influence,
-    relax_for_influence_exclusive,
-    relax_for_movement,
-    relax_for_movement_exclusive,
-)
 from repro.core.config import BalancedKMeansConfig
-from repro.core.influence import erode_influence, estimate_cluster_diameters
 from repro.core.kernels import SweepWorkspace
-from repro.core.result import IterationStats, KMeansResult
-from repro.core.sampling import sample_schedule
+from repro.core.result import KMeansResult
 from repro.core.seeding import seed_centers
-from repro.geometry.boxes import BoundingBox
-from repro.runtime.checkpoint import (
-    CheckpointStore,
-    data_digest,
-    load_resume,
-    restore_rng,
-    rng_state,
-    validate_meta,
+from repro.runtime.checkpoint import CheckpointStore, data_digest, load_resume
+from repro.runtime.comm import VirtualComm
+from repro.runtime.distributed_kmeans import (
+    CHECKPOINT_KIND,
+    SharedStorage,
+    _kmeans_loop,
+    _redistribute,
+    _run_context,
 )
 from repro.sfc.curves import sfc_index
-from repro.util.rng import ensure_rng
 from repro.util.timers import StageTimer
 from repro.util.validation import check_k, check_points, check_weights, normalize_targets
 
 __all__ = ["balanced_kmeans", "compute_sfc_order", "weighted_center_update"]
-
-#: ``kind`` tag in checkpoint metadata (rejects resuming the wrong algorithm).
-CHECKPOINT_KIND = "serial-kmeans"
 
 
 def weighted_center_update(
@@ -56,8 +45,10 @@ def weighted_center_update(
     """New centers = weighted mean of assigned points; empty clusters keep their center.
 
     One fused ``bincount`` over a combined (cluster, dimension) key computes
-    all weighted coordinate sums at once (Algorithm 2, line 12-13); in the
-    distributed version the per-rank partial sums feed an allreduce.
+    all weighted coordinate sums at once (Algorithm 2, line 12-13).  A
+    single-array reference for the loop's allreduced
+    :func:`~repro.core.assign.center_partial_sums` update, which it equals
+    bit for bit.
     """
     d = points.shape[1]
     wsum = np.bincount(assignment, weights=weights, minlength=k)
@@ -66,54 +57,6 @@ def weighted_center_update(
     sums = sums.reshape(k, d)
     with np.errstate(invalid="ignore"):
         return np.where(wsum[:, None] > 0, sums / np.maximum(wsum, 1e-300)[:, None], previous)
-
-
-def _reseed_empty(
-    points: np.ndarray,
-    weights: np.ndarray,
-    assignment: np.ndarray,
-    centers: np.ndarray,
-    influence: np.ndarray,
-    block_weights: np.ndarray,
-    rng: np.random.Generator,
-) -> bool:
-    """Relocate centers of empty clusters into the heaviest cluster.
-
-    Rare with SFC seeding (the paper relies on erosion to avoid anomalies),
-    but random seeding on heterogeneous densities can produce empties; each
-    is moved to the point farthest from the heaviest cluster's center.
-
-    ``block_weights`` is updated between relocations — the chosen point's
-    weight moves from the donor cluster to the relocated center — and chosen
-    points are excluded from later picks, so several simultaneous empties
-    land on *distinct* points (possibly of distinct donors) instead of all
-    collapsing onto the same farthest point.  Returns True if anything
-    changed; the caller must then reset the runner-up bounds (a relocated
-    center may be anyone's new runner-up).
-    """
-    empty = np.flatnonzero(block_weights <= 0.0)
-    if empty.size == 0:
-        return False
-    taken: list[int] = []
-    for c in empty:
-        heaviest = int(np.argmax(block_weights))
-        members = np.flatnonzero(assignment == heaviest)
-        if taken:
-            members = members[~np.isin(members, taken)]
-        if members.size <= 1:
-            far = int(rng.integers(points.shape[0]))
-            centers[c] = points[far]
-            block_weights[c] = 0.0  # will be refilled next sweep
-        else:
-            diffs = points[members] - centers[heaviest]
-            far = int(members[int(np.argmax(np.einsum("ij,ij->i", diffs, diffs)))])
-            centers[c] = points[far]
-            w_far = float(weights[far])
-            block_weights[heaviest] -= w_far
-            block_weights[c] = w_far  # the stolen point seeds the new cluster
-        taken.append(far)
-        influence[c] = 1.0
-    return True
 
 
 def compute_sfc_order(points: np.ndarray, config: BalancedKMeansConfig | None = None) -> np.ndarray:
@@ -156,7 +99,8 @@ def balanced_kmeans(
         Optional per-cluster target weights (footnote 1: heterogeneous
         architectures); defaults to ``total_weight / k`` each.
     centers:
-        Optional warm-start centers overriding the configured seeding.
+        Optional warm-start centers overriding the configured seeding; a
+        warm start also skips the sampled initialisation rounds.
     checkpoint / checkpoint_every / resume_from:
         Snapshot the main-loop state every ``checkpoint_every`` iterations
         into ``checkpoint`` (a :class:`~repro.runtime.checkpoint
@@ -166,7 +110,9 @@ def balanced_kmeans(
         skip/pruning statistics may differ — the fresh kernel workspace
         rebuilds its pruning caches, which never changes results).  The
         checkpoint is validated against the configuration and input data
-        with a loud mismatch error.
+        with a loud mismatch error.  A serial checkpoint is a one-shard
+        distributed checkpoint: ``distributed_balanced_kmeans`` resumes it
+        on any rank count, and this function resumes multi-shard ones.
     workspace:
         Optional warm :class:`~repro.core.kernels.SweepWorkspace` from a
         previous run over the *identical* (SFC-sorted points, config, k)
@@ -190,252 +136,60 @@ def balanced_kmeans(
     n = pts.shape[0]
     k = check_k(k, n)
     w = check_weights(weights, n)
-    gen = ensure_rng(rng)
     timers = StageTimer()
+    targets = normalize_targets(target_weights, k, w.sum())
+    explicit = () if target_weights is None else (targets,)
+    input_digest = data_digest(pts, w, *explicit, extra=f"n={n},k={k}")
 
-    total_w = w.sum()
-    targets = normalize_targets(target_weights, k, total_w)
-
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    store = CheckpointStore.ensure(checkpoint)
-    input_digest = data_digest(pts, w, targets, extra=f"n={n},k={k}")
-    resume = None
-    if resume_from is not None:
-        r_arrays, r_meta = load_resume(resume_from)
-        validate_meta(
-            r_meta,
-            kind=CHECKPOINT_KIND,
-            config_digest=cfg.digest(),
-            input_digest=input_digest,
-            checks=[("n", n), ("k", k)],
-        )
-        gen = restore_rng(r_meta["rng_state"])
-        resume = (r_arrays, r_meta)
-
-    if k == 1:
-        return KMeansResult(
-            assignment=np.zeros(n, dtype=np.int64),
-            centers=((w[:, None] * pts).sum(axis=0) / total_w)[None, :],
-            influence=np.ones(1),
-            iterations=0,
-            converged=True,
-            imbalance=0.0,
-            timers=timers,
-        )
-
-    # --- SFC sort for chunk locality + seeding (Algorithm 2, lines 4-7) ---
-    order = None
-    if cfg.sfc_sort or cfg.seeding == "sfc":
-        if sfc_order is not None:
-            order = np.asarray(sfc_order, dtype=np.int64)
-            if order.shape != (n,):
-                raise ValueError(f"sfc_order must have shape ({n},), got {order.shape}")
-        else:
-            with timers.stage("sfc_index"):
-                order = np.argsort(sfc_index(pts, curve=cfg.sfc_curve, bits=cfg.sfc_bits), kind="stable")
-    if cfg.sfc_sort:
-        with timers.stage("redistribute"):
-            work_pts = pts[order]
-            work_w = w[order]
-            seeding_order = np.arange(n, dtype=np.int64)
-    else:
-        work_pts, work_w = pts, w
-        seeding_order = order
-
-    if resume is not None:
-        # seeding and sampled init already happened in the first launch; the
-        # restored RNG state reflects every draw they consumed
-        centers = np.array(resume[0]["centers"], dtype=np.float64, copy=True)
-    elif centers is None:
-        with timers.stage("seeding"):
-            centers = seed_centers(
-                work_pts, k, cfg.seeding, gen, curve=cfg.sfc_curve, bits=cfg.sfc_bits, order=seeding_order
+    # one virtual rank built here, never through make_comm: REPRO_BACKEND and
+    # REPRO_FAULTS can neither reroute nor fault-inject a serial call
+    comm = VirtualComm(1)
+    with _run_context(1, comm, None, None, None, cfg=cfg, rng=rng, n=n, k=k,
+                      kind=CHECKPOINT_KIND, input_digest=input_digest, checkpoint=checkpoint,
+                      checkpoint_every=checkpoint_every, resume_from=resume_from,
+                      provenance=None, load=load_resume) as (grid, gen, ckpt):
+        if k == 1:
+            return KMeansResult(
+                assignment=np.zeros(n, dtype=np.int64),
+                centers=((w[:, None] * pts).sum(axis=0) / w.sum())[None, :],
+                influence=np.ones(1),
+                iterations=0,
+                converged=True,
+                imbalance=0.0,
+                timers=timers,
             )
-    else:
-        centers = np.array(centers, dtype=np.float64, copy=True)
-        if centers.shape != (k, pts.shape[1]):
-            raise ValueError(f"warm-start centers must have shape ({k}, {pts.shape[1]})")
-
-    influence = np.ones(k)
-    delta_threshold = cfg.delta_threshold_rel * BoundingBox.from_points(work_pts).diagonal
-    history: list[IterationStats] = []
-
-    # --- sampled initialisation rounds (§4.5; skipped entirely on resume) --
-    with timers.stage("sampling"):
-        sample_ws: SweepWorkspace | None = None
-        prev_sample_idx: np.ndarray | None = None
-        for sample_idx in (sample_schedule(n, cfg, gen) if resume is None else ()):
-            s_pts = work_pts[sample_idx]
-            s_w = work_w[sample_idx]
-            s_targets = targets * (s_w.sum() / total_w)
-            s_assign = np.zeros(sample_idx.shape[0], dtype=np.int64)
-            s_ub, s_lb = init_bounds(sample_idx.shape[0])
-            # rounds of equal sample size draw the identical prefix of one
-            # permutation — reuse the workspace (point norms, block boxes)
-            # instead of rebuilding it; bounds are reset, so the stale block
-            # aggregates must be dropped
-            if sample_ws is None or prev_sample_idx is None or not np.array_equal(sample_idx, prev_sample_idx):
-                sample_ws = SweepWorkspace(s_pts, cfg, k)
+        storage = SharedStorage(grid)
+        seeds = None
+        if grid.nranks == 1:
+            # SFC sort for chunk locality + seeding (Algorithm 2, lines 4-7)
+            if sfc_order is None:
+                with timers.stage("sfc_index"):
+                    order = compute_sfc_order(pts, cfg)
             else:
-                sample_ws.invalidate_block_bounds()
-            prev_sample_idx = sample_idx
-            outcome = assign_and_balance(
-                s_pts, s_w, centers, influence, s_assign, s_ub, s_lb, s_targets, cfg, sample_ws
-            )
-            influence = outcome.influence
-            new_centers = weighted_center_update(s_pts, s_w, s_assign, k, centers)
-            deltas = np.linalg.norm(new_centers - centers, axis=1)
-            history.append(
-                IterationStats(
-                    iteration=len(history),
-                    max_delta=float(deltas.max()),
-                    imbalance=outcome.imbalance,
-                    balance_iterations=outcome.balance_iterations,
-                    skip_fraction=outcome.stats.skip_fraction,
-                    pruning_fraction=outcome.stats.pruning_fraction,
-                    sample_size=sample_idx.shape[0],
-                )
-            )
-            if cfg.use_erosion:
-                beta = estimate_cluster_diameters(s_pts, s_assign, new_centers, s_w)
-                influence = erode_influence(
-                    influence, deltas, float(beta[beta > 0].mean()) if np.any(beta > 0) else 0.0,
-                    floor=cfg.influence_floor, ceil=cfg.influence_ceil,
-                )
-            centers = new_centers
-
-    # --- main loop (Algorithm 2, lines 10-19) ------------------------------
-    # One workspace for the whole run: per-point squared norms and the static
-    # SFC block boxes are computed once here, then reused by every sweep.  A
-    # warm workspace from a previous run over the same problem is accepted
-    # after validation; its leftover aggregates are dropped.
-    if workspace is not None:
-        if not workspace.matches(work_pts, cfg, k):
-            raise ValueError(
-                "warm workspace does not match this run: it was built for a "
-                "different (points, config, k) triple — build a fresh "
-                "SweepWorkspace (or let balanced_kmeans build one) instead"
-            )
-        workspace.invalidate_block_bounds()
-    else:
-        workspace = SweepWorkspace(work_pts, cfg, k)
-    assignment = np.zeros(n, dtype=np.int64)
-    ub, lb = init_bounds(n)
-    converged = False
-    final_imbalance = np.inf
-    iterations = 0
-    prev_block_w: np.ndarray | None = None
-    start_it = 0
-    ckpt_meta = {
-        "kind": CHECKPOINT_KIND,
-        "config_digest": cfg.digest(),
-        "data_digest": input_digest,
-        "n": n,
-        "k": k,
-    }
-    if resume is not None:
-        # The checkpointed (ub, lb) are exactly the bounds an uninterrupted
-        # run carries into this iteration (relaxations apply eagerly); the
-        # fresh workspace lacks the old pruning aggregates, which only costs
-        # skipped-block certifications, never changes an assignment.
-        r_arrays, r_meta = resume
-        influence = np.array(r_arrays["influence"], dtype=np.float64, copy=True)
-        assignment[:] = r_arrays["assignment"]
-        ub[:] = r_arrays["ub"]
-        lb[:] = r_arrays["lb"]
-        if "block_w" in r_arrays:
-            prev_block_w = np.array(r_arrays["block_w"], dtype=np.float64, copy=True)
-        start_it = int(r_meta["iteration"])
-        iterations = start_it
-        final_imbalance = float(r_meta["imbalance"])
-        history = [IterationStats(**stats) for stats in r_meta["history"]]
-    for it in range(start_it, cfg.max_iterations):
-        iterations = it + 1
-        with timers.stage("assign"):
-            outcome = assign_and_balance(
-                work_pts, work_w, centers, influence, assignment, ub, lb, targets, cfg,
-                workspace, initial_block_weights=prev_block_w,
-            )
-        influence = outcome.influence
-        final_imbalance = outcome.imbalance
-
-        if _reseed_empty(work_pts, work_w, assignment, centers, influence, outcome.block_weights, gen):
-            lb[:] = 0.0  # a relocated center may now be anyone's runner-up
-            workspace.invalidate_block_bounds()
-            prev_block_w = None  # reseed redistributed the weight estimates
-            continue
-        # assignments are untouched between phases, so the next phase can
-        # seed its incremental block weights from this outcome directly
-        prev_block_w = outcome.block_weights
-
-        with timers.stage("update"):
-            new_centers = weighted_center_update(work_pts, work_w, assignment, k, centers)
-        deltas = np.linalg.norm(new_centers - centers, axis=1)
-        history.append(
-            IterationStats(
-                iteration=len(history),
-                max_delta=float(deltas.max()),
-                imbalance=outcome.imbalance,
-                balance_iterations=outcome.balance_iterations,
-                skip_fraction=outcome.stats.skip_fraction,
-                pruning_fraction=outcome.stats.pruning_fraction,
-                sample_size=n,
-            )
-        )
-        if deltas.max() < delta_threshold and outcome.balanced:
-            converged = True
-            break
-
-        old_influence = influence.copy()
-        if cfg.use_erosion:
-            beta = estimate_cluster_diameters(work_pts, assignment, new_centers, work_w)
-            influence = erode_influence(
-                influence, deltas, float(beta[beta > 0].mean()) if np.any(beta > 0) else 0.0,
-                floor=cfg.influence_floor, ceil=cfg.influence_ceil,
-            )
-        centers = new_centers
-        if cfg.use_bounds:
-            incremental = workspace.incremental
-            if not (incremental and workspace.queue_relax_influence(assignment, ub, lb, old_influence, influence)):
-                relax_infl = relax_for_influence_exclusive if incremental else relax_for_influence
-                ratio_max, ratio_min = relax_infl(ub, lb, assignment, old_influence, influence)
-                workspace.note_influence_relax(ratio_max, ratio_min)
-            if not (incremental and workspace.queue_relax_movement(assignment, ub, lb, deltas, influence)):
-                relax_move = relax_for_movement_exclusive if incremental else relax_for_movement
-                growth, shrink = relax_move(ub, lb, assignment, deltas, influence)
-                workspace.note_movement_relax(growth, shrink)
-
-        if store is not None and (it + 1) % checkpoint_every == 0:
-            arrays = {
-                "centers": centers,
-                "influence": influence,
-                "assignment": assignment,
-                "ub": ub,
-                "lb": lb,
-            }
-            if prev_block_w is not None:
-                arrays["block_w"] = prev_block_w
-            meta = dict(ckpt_meta)
-            meta["iteration"] = it + 1
-            meta["imbalance"] = final_imbalance
-            meta["rng_state"] = rng_state(gen)
-            meta["history"] = [asdict(stats) for stats in history]
-            store.save(arrays, meta)
-
-    if cfg.sfc_sort:
-        final_assignment = np.empty(n, dtype=np.int64)
-        final_assignment[order] = assignment
-    else:
-        final_assignment = assignment
-
+                order = np.asarray(sfc_order, dtype=np.int64)
+                if order.shape != (n,):
+                    raise ValueError(f"sfc_order must have shape ({n},), got {order.shape}")
+            with timers.stage("redistribute"):
+                work_pts = pts[order]
+                work_w = w[order]
+            layout = ([storage.put("pts", 0, work_pts)], [storage.put("w", 0, work_w)], [order],
+                      work_pts.min(axis=0), work_pts.max(axis=0))
+            if centers is None and ckpt.resume is None and cfg.seeding != "sfc":
+                with timers.stage("seeding"):
+                    seeds = seed_centers(work_pts, k, cfg.seeding, gen)
+        else:  # a multi-shard checkpoint resumes over its own shard grid
+            layout = _redistribute(grid, storage, pts, w, cfg)
+        history: list = []
+        result, _ = _kmeans_loop(grid, storage, *layout, k, cfg, gen, centers, ckpt,
+                                 targets=targets, seeds=seeds, workspace=workspace,
+                                 history=history, timers=timers)
     return KMeansResult(
-        assignment=final_assignment,
-        centers=centers,
-        influence=influence,
-        iterations=iterations,
-        converged=converged,
-        imbalance=final_imbalance,
+        assignment=result.assignment,
+        centers=result.centers,
+        influence=result.influence,
+        iterations=result.iterations,
+        converged=result.converged,
+        imbalance=result.imbalance,
         history=history,
         timers=timers,
     )

@@ -43,10 +43,6 @@ class BalancedKMeansConfig:
         center trajectory), only speed.
     seeding:
         ``"sfc"`` (paper default), ``"random"``, or ``"kmeans++"``.
-    sfc_sort:
-        Sort points in Hilbert order internally so that chunks of the
-        assignment loop are spatially compact (mirrors the paper's global
-        sort + redistribution, §4.1).
     chunk_size:
         Points per chunk in the vectorised assignment kernel; bounds the
         ``chunk x k`` distance matrix.  Doubles as the static SFC block size
@@ -73,10 +69,11 @@ class BalancedKMeansConfig:
         (``use_incremental=False``) path; arbitrary float weights can
         differ in the last ulp (the delta sum associates differently),
         which is deterministic and backend-identical but may steer the
-        influence trajectory to an equally valid partition.  Requires
-        ``use_bounds`` and the static SFC blocks
-        (``sfc_sort`` + ``use_box_pruning``) to engage; silently inert
-        otherwise.
+        influence trajectory to an equally valid partition.  The
+        delta-maintained block weights need only ``use_bounds``; the block
+        filter and the candidate-local relaxations also need the static SFC
+        blocks (``use_box_pruning`` and ``k > 2``) and are silently inert
+        without them.
     incremental_block_size:
         Granularity (points) of the incremental engine's bound aggregates.
         Finer sub-blocks certify more aggressively — a sub-block is skipped
@@ -116,7 +113,6 @@ class BalancedKMeansConfig:
     seeding: str = "sfc"
     sfc_curve: str = "hilbert"
     sfc_bits: int | None = None
-    sfc_sort: bool = True
     chunk_size: int = 2048
     n_threads: int = 1
     use_incremental: bool = True
@@ -124,7 +120,6 @@ class BalancedKMeansConfig:
     kernel_backend: str = "numpy"
     influence_floor: float = 1e-9
     influence_ceil: float = 1e9
-    track_stats: bool = True
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:

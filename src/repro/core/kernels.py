@@ -43,9 +43,9 @@ The active backend is resolved once, at workspace construction, from
 ``config.kernel_backend`` and the ``REPRO_KERNEL_BACKEND`` environment
 override (see :func:`repro.core.xp.resolve_kernel_backend`).
 
-Static SFC block decomposition (§4.4 accelerated): when ``sfc_sort`` is on
-the points are processed in space-filling-curve order, so the workspace cuts
-them once into fixed ``chunk_size`` blocks and caches each block's bounding
+Static SFC block decomposition (§4.4 accelerated): the Algorithm 2 loop
+processes points in space-filling-curve order, so the workspace cuts them
+once into fixed ``chunk_size`` blocks and caches each block's bounding
 box *and* its raw squared min/max distances to every center (refreshed only
 when centers move).  A balance iteration then derives its pruning candidate
 sets by rescaling those ranges with the current ``influence ** -2`` — a
@@ -303,8 +303,8 @@ class SweepWorkspace:
     ==========================  =========================================
 
     Center changes are detected by object identity, so callers that mutate a
-    center array *in place* must call :meth:`begin_phase` explicitly
-    (``assign_and_balance`` does this once per phase).
+    center array *in place* must call :meth:`begin_phase` explicitly (the
+    Algorithm 2 loop hands every phase a fresh center array instead).
 
     ``ephemeral=True`` marks a workspace built for a single sweep (e.g. by
     ``assign_points`` when none was supplied, or on worker-process ranks):
@@ -339,7 +339,7 @@ class SweepWorkspace:
         # have nothing to sweep, so no blocks
         self.block_size = int(config.chunk_size)
         self.has_static_blocks = bool(
-            config.sfc_sort and config.use_box_pruning and self.k > 2 and self.points.shape[0] > 0
+            config.use_box_pruning and self.k > 2 and self.points.shape[0] > 0
         )
         if self.has_static_blocks:
             self.block_lo, self.block_hi = block_bounds(self.points, self.block_size)
@@ -421,10 +421,10 @@ class SweepWorkspace:
     #: Config fields the workspace's cached state actually depends on.  Two
     #: configs that agree here produce byte-identical workspaces; fields like
     #: epsilon/use_sampling/seeding live outside the workspace entirely, so a
-    #: warm workspace may serve e.g. a partition *and* the sampling-free
-    #: repartition variant of the same session.
+    #: warm workspace may serve e.g. partitions at different epsilons of the
+    #: same session.
     _CONFIG_FIELDS = (
-        "kernel_backend", "chunk_size", "sfc_sort", "use_box_pruning",
+        "kernel_backend", "chunk_size", "use_box_pruning",
         "incremental_block_size", "use_incremental", "use_bounds",
     )
 
@@ -931,10 +931,16 @@ class SweepWorkspace:
 
         Until :meth:`end_device_session`, the host arrays are stale: sweeps,
         block-weight reductions and influence relaxations run on the device
-        copies (``assign_and_balance`` brackets its loop in a session, which
-        is what makes bounds cross the host boundary once per phase).
+        copies (the Algorithm 2 loop brackets each phase's balance
+        iterations in a session, which is what makes bounds cross the host
+        boundary once per phase).
         """
         self._engine.begin_session(assignment, ub, lb, weights)
+
+    @property
+    def in_device_session(self) -> bool:
+        """True between :meth:`begin_device_session` and :meth:`end_device_session`."""
+        return self._engine is not None and self._engine.in_session
 
     def end_device_session(self) -> None:
         """Flush the device per-point state back into the host arrays."""

@@ -42,8 +42,8 @@ class KMeansResult:
     history:
         Per-iteration diagnostics (main rounds and sampled-init rounds).
     timers:
-        Stage breakdown (sfc_index / seeding / sampling / assign / update),
-        the basis for the §5.3.2 component analysis.
+        Stage breakdown (sfc_index / redistribute / seeding / sampling /
+        assign / update), the basis for the §5.3.2 component analysis.
     """
 
     assignment: np.ndarray

@@ -9,21 +9,18 @@ round in total, but advancing the centers much further.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import BalancedKMeansConfig
-from repro.util.rng import ensure_rng
 
-__all__ = ["doubling_sizes", "sample_schedule"]
+__all__ = ["doubling_sizes"]
 
 
 def doubling_sizes(n: int, config: BalancedKMeansConfig) -> list[int]:
     """Sample sizes of the doubling rounds for a point set of ``n`` points.
 
     Empty when sampling is disabled or ``n`` is already small (<= 2x the
-    initial sample size).  Shared by the serial schedule below and the
-    distributed/out-of-core runners (which apply it to the smallest rank's
-    count) so every path runs the same rounds.
+    initial sample size, where sampling cannot help).  The Algorithm 2 loop
+    applies it to the smallest rank's point count, and each rank samples
+    the prefixes of its own permutation.
     """
     if not config.use_sampling:
         return []
@@ -35,21 +32,3 @@ def doubling_sizes(n: int, config: BalancedKMeansConfig) -> list[int]:
         sizes.append(size)
         size *= 2
     return sizes
-
-
-def sample_schedule(
-    n: int,
-    config: BalancedKMeansConfig,
-    rng: int | np.random.Generator | None = None,
-) -> list[np.ndarray]:
-    """Index arrays of the doubling sample rounds (excluding the full set).
-
-    Returns an empty list when sampling is disabled or the point set is
-    already small (<= 2x the initial sample size, where sampling cannot help).
-    """
-    sizes = doubling_sizes(n, config)
-    if not sizes:
-        return []
-    gen = ensure_rng(rng)
-    perm = gen.permutation(n)
-    return [perm[:size] for size in sizes]

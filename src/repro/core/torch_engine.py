@@ -26,12 +26,11 @@ block-weight / delta k-vectors        once per sweep (k-sized, downloads)
 ====================================  =====================================
 
 :class:`repro.core.kernels.SweepWorkspace` owns one engine per point set and
-``assign_and_balance`` brackets each phase's balance loop in a session, so
-across balance iterations only k-sized vectors move — the "transferred once
-per phase (not per sweep)" model.  Callers that sweep without a session
-(the distributed runtime's per-rank sweep closures, which interleave
-host-side relaxations between sweeps) get per-sweep bound transfers and
-still never re-upload the point set.
+the Algorithm 2 loop brackets each phase's balance iterations in a session
+on every driver-resident rank, so across balance iterations only k-sized
+vectors move — the "transferred once per phase (not per sweep)" model.
+Callers that sweep without a session (worker-process ranks, whose
+ephemeral workspaces live for one sweep) get per-sweep bound transfers.
 
 Every transfer is counted in :attr:`transfer_log` (tag → count/bytes per
 direction), which is how the equivalence tests assert the residency model

@@ -9,7 +9,6 @@ initialisation rounds — the incremental path adaptive simulations rely on.
 
 from __future__ import annotations
 
-
 from repro.core.balanced_kmeans import balanced_kmeans
 from repro.core.config import BalancedKMeansConfig
 from repro.core.result import KMeansResult
@@ -67,12 +66,9 @@ class GeographerPartitioner(GeometricPartitioner):
         return self._wrap(result)
 
     def _repartition(self, points, k, weights, epsilon, rng, targets, centers):
-        # warm start: previous centers replace seeding, and the sampled
-        # initialisation is pointless when centers are already near-optimal
-        cfg = self._config_for(epsilon)
-        if cfg.use_sampling:
-            cfg = cfg.with_(use_sampling=False)
-        result = balanced_kmeans(points, k, weights=weights, config=cfg, rng=rng,
+        # warm start: previous centers replace seeding and skip the sampled
+        # initialisation, which is pointless when centers are near-optimal
+        result = balanced_kmeans(points, k, weights=weights, config=self._config_for(epsilon), rng=rng,
                                  target_weights=targets, centers=centers,
                                  workspace=self.workspace, sfc_order=self.sfc_order)
         return self._wrap(result)

@@ -36,17 +36,23 @@ mutate the large state in place.  Two storages implement the seam:
   memory-mapped only inside a rank turn — the out-of-core runner
   (:func:`~repro.runtime.ondisk.ondisk_distributed_kmeans`).
 
+The serial entry point :func:`~repro.core.balanced_kmeans.balanced_kmeans`
+is this loop on one virtual rank (``SharedStorage`` over a one-rank
+:class:`~repro.runtime.comm.VirtualComm`, i.e. plain driver arrays), so
+serial equals ``nranks=1`` bit for bit and a serial checkpoint is a
+one-shard checkpoint.
+
 Results are bit-identical across backends and storages (tested).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.core.assign import assign_points, center_partial_sums, diameter_partial_sums
+from repro.core.assign import AssignStats, assign_points, center_partial_sums, diameter_partial_sums
 from repro.core.bounds import (
     init_bounds,
     relax_for_influence,
@@ -57,6 +63,7 @@ from repro.core.bounds import (
 from repro.core.config import BalancedKMeansConfig
 from repro.core.influence import adapt_influence, erode_influence
 from repro.core.kernels import SweepWorkspace
+from repro.core.result import IterationStats
 from repro.core.sampling import doubling_sizes
 from repro.core.seeding import seed_positions
 from repro.runtime.checkpoint import (
@@ -73,6 +80,7 @@ from repro.runtime.costmodel import MachineModel, MachineTopology
 from repro.runtime.distsort import distributed_sort
 from repro.sfc.curves import DEFAULT_BITS, sfc_index
 from repro.util.rng import ensure_rng, spawn_rngs
+from repro.util.timers import StageTimer
 from repro.util.validation import check_k, check_points, check_weights
 
 __all__ = ["DistributedKMeansResult", "distributed_balanced_kmeans"]
@@ -254,6 +262,15 @@ def _run_context(nranks, comm, backend, machine, topology, *, cfg, rng, n, k, ki
             comm.set_stage(prev_stage)
 
 
+def _check_sfc_seeding(cfg: BalancedKMeansConfig) -> None:
+    """Distributed runs seed from the global SFC order; other seedings are serial-only."""
+    if cfg.seeding != "sfc":
+        raise ValueError(
+            f"distributed runs support seeding='sfc' only, got seeding={cfg.seeding!r}; "
+            "random and k-means++ seeding are a serial ablation (balanced_kmeans)"
+        )
+
+
 def _split_blocks(n: int, p: int) -> list[np.ndarray]:
     """Initial block distribution: rank r owns indices [r*n/p, (r+1)*n/p)."""
     bounds = (np.arange(p + 1) * n) // p
@@ -265,10 +282,16 @@ def _relax_influence_local(ub, lb, assignment, old_influence, new_influence, wor
 
     Module-level so the rank closure ships cleanly to worker processes;
     notifies the rank's persistent workspace (driver-resident backends only —
-    worker ranks rebuild ephemeral workspaces and pass ``None``).
+    worker ranks rebuild ephemeral workspaces and pass ``None``).  Inside a
+    device session the bounds live on the device, so the relaxation runs
+    there.
     """
-    if workspace is not None and workspace.queue_relax_influence(assignment, ub, lb, old_influence, new_influence):
-        return
+    if workspace is not None:
+        if workspace.in_device_session:
+            workspace.device_relax_influence(old_influence, new_influence)
+            return
+        if workspace.queue_relax_influence(assignment, ub, lb, old_influence, new_influence):
+            return
     relax = relax_for_influence_exclusive if cfg.use_incremental else relax_for_influence
     ratio_max, ratio_min = relax(ub, lb, assignment, old_influence, new_influence)
     if workspace is not None:
@@ -297,7 +320,7 @@ def _fresh_state(storage, prefix: str, sizes) -> tuple[list, list, list]:
 
 
 def _save_checkpoint(comm, storage, ckpt: _Checkpoints, iteration: int, gen: np.random.Generator,
-                     centers, influence, block_w, assignment, ub, lb) -> None:
+                     centers, influence, targets, block_w, history, assignment, ub, lb) -> None:
     """Snapshot the loop state at an iteration boundary (atomic npz).
 
     Per-shard assignment and Hamerly bounds are read through
@@ -311,6 +334,7 @@ def _save_checkpoint(comm, storage, ckpt: _Checkpoints, iteration: int, gen: np.
     arrays = {
         "centers": np.asarray(centers, dtype=np.float64),
         "influence": np.asarray(influence, dtype=np.float64),
+        "targets": np.asarray(targets, dtype=np.float64),
         "block_w": np.asarray(block_w, dtype=np.float64),
     }
     chunks = zip(storage.collect(assignment), storage.collect(ub), storage.collect(lb))
@@ -321,7 +345,72 @@ def _save_checkpoint(comm, storage, ckpt: _Checkpoints, iteration: int, gen: np.
     meta = dict(ckpt.meta)
     meta["iteration"] = int(iteration)
     meta["rng_state"] = rng_state(gen)
+    meta["history"] = [asdict(stats) for stats in history]
     ckpt.store.save(arrays, meta, faults=ckpt.fault_plan)
+
+
+def _relocate_empty_blocks(comm: Comm, storage, local_pts: list, local_w: list, assignment: list,
+                           centers: np.ndarray, influence: np.ndarray, block_w: np.ndarray,
+                           gen: np.random.Generator) -> bool:
+    """Relocate the centers of empty blocks into the heaviest block.
+
+    Rare with SFC seeding, but random seeding on heterogeneous densities can
+    produce empties; each moves to the point farthest from the heaviest
+    block's center.  ``block_w`` is updated between relocations and chosen
+    points are excluded from later picks, so simultaneous empties land on
+    *distinct* points; a heaviest block with at most one eligible point
+    yields a random point (global SFC-order index drawn from ``gen``).
+
+    One superstep plus an allgather of one candidate row per rank and
+    relocation; ties go to the lowest rank, i.e. the lowest global index, so
+    every rank count picks the points one rank picks.  Mutates ``centers``,
+    ``influence`` and ``block_w``; returns True if any block was empty (the
+    caller must then reset the runner-up bounds).
+    """
+    empty = np.flatnonzero(block_w <= 0.0)
+    if empty.size == 0:
+        return False
+    counts = np.array([lp.shape[0] for lp in local_pts], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    dim = centers.shape[1]
+    taken: list[int] = []
+    for c in empty:
+        heaviest = int(np.argmax(block_w))
+        center = centers[heaviest].copy()
+        excluded = np.array(taken, dtype=np.int64)
+
+        def farthest(r: int, pts, w, a) -> np.ndarray:
+            # [eligible members, squared distance, global index, weight, coordinates]
+            members = np.flatnonzero(np.asarray(a) == heaviest)
+            members = members[~np.isin(members + offsets[r], excluded)]
+            row = np.zeros(dim + 4)
+            row[0] = members.size
+            if members.size:
+                diffs = pts[members] - center
+                sq = np.einsum("ij,ij->i", diffs, diffs)
+                best = int(np.argmax(sq))
+                far = int(members[best])
+                row[1:4] = sq[best], offsets[r] + far, w[far]
+                row[4:] = pts[far]
+            return row
+
+        rows = comm.allgather(comm.run_local(storage.local(
+            farthest, read=(local_pts, local_w, assignment)))).reshape(-1, dim + 4)
+        if rows[:, 0].sum() <= 1:
+            far = int(gen.integers(int(counts.sum())))
+            r = int(np.searchsorted(offsets, far, side="right")) - 1
+            centers[c] = storage.view(local_pts[r])[far - offsets[r]]
+            block_w[c] = 0.0  # refilled by the next sweep
+        else:
+            candidates = rows[rows[:, 0] > 0]
+            best = candidates[int(np.argmax(candidates[:, 1]))]
+            far = int(best[2])
+            centers[c] = best[4:]
+            block_w[heaviest] -= best[3]
+            block_w[c] = best[3]  # the stolen point seeds the new block
+        taken.append(far)
+        influence[c] = 1.0
+    return True
 
 
 def distributed_balanced_kmeans(
@@ -350,6 +439,8 @@ def distributed_balanced_kmeans(
     ``centers`` warm-starts the run (repartitioning): SFC seeding's allgather
     and the sampled initialisation rounds are skipped, exactly as in the
     serial :func:`~repro.core.balanced_kmeans.balanced_kmeans` path.
+    Distributed runs seed from the SFC order only; ``config.seeding`` must be
+    ``"sfc"`` (random and k-means++ seeding are a serial ablation).
 
     ``topology`` attaches a machine hierarchy so every allreduce is costed as
     staged per-level reductions (cores → nodes → islands) instead of one flat
@@ -397,6 +488,7 @@ def distributed_balanced_kmeans(
             resume_from=resume_from, provenance=provenance,
         )
     cfg = config or BalancedKMeansConfig()
+    _check_sfc_seeding(cfg)
     pts = check_points(points)
     n = pts.shape[0]
     k = check_k(k, n)
@@ -473,11 +565,23 @@ def _kmeans_loop(
     gen: np.random.Generator,
     centers: np.ndarray | None,
     ckpt: _Checkpoints,
+    targets: np.ndarray | None = None,
+    seeds: np.ndarray | None = None,
+    workspace: SweepWorkspace | None = None,
+    history: list[IterationStats] | None = None,
+    timers: StageTimer | None = None,
 ) -> tuple[DistributedKMeansResult, list]:
     """Algorithms 1-2 over the ranks' SFC-sorted chunks, on any storage.
 
     ``local_pts``/``local_w`` are refs of ``storage`` (see
     :class:`SharedStorage`), ``local_ids`` whatever its ``gather`` takes.
+    ``centers`` warm-starts the run (no seeding, no sampled rounds);
+    ``seeds`` replace only the SFC seeding (the serial seeding ablation).
+    ``targets`` default to equal shares of the total weight; ``workspace``
+    is a warm sweep workspace for rank 0.  ``history`` receives one
+    :class:`~repro.core.result.IterationStats` per round (skip and pruning
+    fractions only from driver-resident ranks), ``timers`` the stage times.
+
     Returns the result, whose assignment ``storage.gather`` built, and the
     per-rank assignment refs.
     """
@@ -486,20 +590,26 @@ def _kmeans_loop(
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     n = int(counts.sum())
     dim = local_pts[0].shape[1]
+    timers = StageTimer() if timers is None else timers
+    history = [] if history is None else history
 
     # -- restore checkpointed state (skips seeding + sampled init) -----------
     resuming = ckpt.resume is not None
     if resuming:
         arrays, meta = ckpt.resume
         centers = np.array(arrays["centers"], dtype=np.float64, copy=True)
+        history[:] = [IterationStats(**stats) for stats in meta["history"]]
 
-    # -- SFC seeding from the global sorted order (Algorithm 2, line 7) ------
+    # -- initial centers: SFC seeding from the global sorted order -----------
+    # (Algorithm 2, line 7) unless warm-started or seeded by the caller
     comm.set_stage("seeding")
     warm_start = centers is not None
     if warm_start:
         centers = np.array(centers, dtype=np.float64, copy=True)
         if centers.shape != (k, dim):
             raise ValueError(f"warm-start centers must have shape ({k}, {dim})")
+    elif seeds is not None:
+        centers = np.array(seeds, dtype=np.float64, copy=True)
     else:
         positions = seed_positions(n, k)
 
@@ -509,15 +619,21 @@ def _kmeans_loop(
             rows = positions[which] - offsets[r]
             return np.column_stack([which.astype(np.float64), pts[rows]])
 
-        seeds = comm.allgather(comm.run_local(storage.local(local_seeds, read=(local_pts,))))
-        seeds = seeds.reshape(-1, dim + 1)
-        centers = np.empty((k, dim))
-        centers[seeds[:, 0].astype(np.int64)] = seeds[:, 1:]
+        with timers.stage("seeding"):
+            seeded = comm.allgather(comm.run_local(storage.local(local_seeds, read=(local_pts,))))
+            seeded = seeded.reshape(-1, dim + 1)
+            centers = np.empty((k, dim))
+            centers[seeded[:, 0].astype(np.int64)] = seeded[:, 1:]
 
     influence = np.ones(k)
     total_w = float(comm.allreduce(comm.run_local(
         storage.local(lambda r, w: np.array([float(w.sum())]), read=(local_w,))))[0])
-    targets = np.full(k, total_w / k)
+    if resuming:
+        # the checkpoint carries the targets, so a run resumes exactly
+        # whichever entry point (and summation order) launched it
+        targets = np.array(arrays["targets"], dtype=np.float64, copy=True)
+    elif targets is None:
+        targets = np.full(k, total_w / k)
     extent = ghi - glo
     delta_threshold = cfg.delta_threshold_rel * float(np.linalg.norm(extent))
 
@@ -544,17 +660,28 @@ def _kmeans_loop(
     rank_rngs = spawn_rngs(gen, p) if not resuming else None
     # rank-local kernel workspaces: when ranks run in the driver process
     # (persistent_state), one workspace per rank survives across every
-    # sweep/iteration (point norms + static block boxes are sweep-invariant).
-    # Worker-process ranks and spill storage rebuild an ephemeral workspace
-    # per sweep instead (assign_points does this when given None) —
-    # bit-identical results, the caches are exact — so the unpicklable
-    # workspace never crosses a pipe and no O(n/p) cache outlives a spill
-    # turn; worker device affinity comes from the rank hint each worker
-    # sets at startup (repro.core.xp.set_rank_hint).  rank=r gives
-    # torch-cuda workspaces per-rank device affinity (cuda:(r % device_count)).
+    # sweep/iteration (point norms + static block boxes are sweep-invariant),
+    # and rank 0 may take a caller's warm one.  Worker-process ranks and
+    # spill storage rebuild an ephemeral workspace per sweep instead
+    # (assign_points does this when given None) — bit-identical results, the
+    # caches are exact — so the unpicklable workspace never crosses a pipe
+    # and no O(n/p) cache outlives a spill turn; worker device affinity
+    # comes from the rank hint each worker sets at startup
+    # (repro.core.xp.set_rank_hint).  rank=r gives torch-cuda workspaces
+    # per-rank device affinity (cuda:(r % device_count)).
     keep_state = storage.persistent_state
-    workspaces = [SweepWorkspace(local_pts[r], cfg, k, rank=r) if keep_state else None
-                  for r in range(p)]
+    if workspace is not None:
+        if not (keep_state and workspace.matches(storage.view(local_pts[0]), cfg, k)):
+            raise ValueError(
+                "warm workspace does not match this run: it was built for a "
+                "different (points, config, k) triple — build a fresh "
+                "SweepWorkspace (or let the run build one) instead"
+            )
+        workspace.invalidate_block_bounds()
+    workspaces = [None] * p
+    if keep_state:
+        workspaces = [workspace if r == 0 and workspace is not None
+                      else SweepWorkspace(local_pts[r], cfg, k, rank=r) for r in range(p)]
 
     # -- sampled initialisation rounds (per rank, §4.5) -----------------------
     # (skipped on warm starts: the previous centers are already near-optimal;
@@ -574,24 +701,119 @@ def _kmeans_loop(
 
         comm.run_local(storage.local(turn, read=(s_assign,), write=(s_ub, s_lb)))
 
-    def one_phase(
-        size: int | None, block_w0: np.ndarray | None = None
-    ) -> tuple[float, np.ndarray, bool, np.ndarray]:
-        """One assign-and-balance phase + center update (full set or a sample).
+    def balance(s_pts, s_w, s_assign, s_ub, s_lb, s_workspaces, s_targets, block_w0=None):
+        """Algorithm 1: sweeps, block-weight allreduce, influence adaptation.
 
-        Returns ``(max delta, new centers, balanced, block weights)``.  In
-        incremental mode the global block weights are maintained from the
-        allreduced k-vector of per-rank assignment *deltas* (bit-identical
-        across backends via the shared combine kernels) — one full bincount
-        reduction seeds the phase unless ``block_w0`` carries the previous
-        phase's weights in.
+        Returns ``(block weights, imbalance, balanced, balance iterations,
+        sweep statistics)``.  In incremental mode the global block weights
+        are maintained from the allreduced k-vector of per-rank assignment
+        *deltas* (bit-identical across backends via the shared combine
+        kernels) — one full bincount reduction seeds the phase unless
+        ``block_w0`` carries the previous phase's weights in.
+
+        A driver-resident device workspace runs the phase in one device
+        session: its assignment and bounds upload once here and download once
+        at the end, so the balance iterations in between exchange only
+        k-sized vectors with the device (the host arrays are stale until the
+        session ends).
         """
         nonlocal influence
-        if size is None:
-            s_pts, s_w, s_assign, s_ub, s_lb = local_pts, local_w, assignment, ub, lb
-            s_targets = targets
-            s_workspaces = workspaces
-        else:
+        state = dict(read=(s_pts, s_w), write=(s_assign, s_ub, s_lb))
+        stats = [None if ws is None else AssignStats() for ws in s_workspaces]
+        block_w = np.array(block_w0, dtype=np.float64, copy=True) if (incremental and block_w0 is not None) else None
+        balanced = False
+        sessions = [r for r, ws in enumerate(s_workspaces) if ws is not None and ws.device_mode]
+        for r in sessions:
+            s_workspaces[r].begin_device_session(s_assign[r], s_ub[r], s_lb[r], s_w[r])
+        try:
+            for bit in range(cfg.max_balance_iterations):
+                comm.set_stage("kmeans")
+
+                if block_w is not None:
+
+                    def sweep_delta(r: int, pts, w, a, upper, lower) -> np.ndarray:
+                        delta = np.zeros(k)
+                        assign_points(pts, centers, influence, a, upper, lower, cfg, stats[r],
+                                      workspace=s_workspaces[r], weights=w, delta_out=delta)
+                        return delta
+
+                    block_w = block_w + comm.allreduce(comm.run_local(storage.local(sweep_delta, **state)))
+                else:
+
+                    def sweep(r: int, pts, w, a, upper, lower) -> np.ndarray:
+                        ws = s_workspaces[r]
+                        assign_points(pts, centers, influence, a, upper, lower, cfg, stats[r],
+                                      workspace=ws)
+                        if ws is not None and ws.device_mode:
+                            return ws.device_block_weights(a, w)
+                        return np.bincount(a, weights=np.asarray(w), minlength=k)
+
+                    block_w = comm.allreduce(comm.run_local(storage.local(sweep, **state)))
+                imbalance = float((block_w / s_targets).max() - 1.0)
+                if imbalance <= cfg.epsilon:
+                    balanced = True
+                    break
+                if bit == cfg.max_balance_iterations - 1:
+                    break  # keep influence consistent with the final assignment
+                old_influence = influence.copy()
+                influence = adapt_influence(
+                    influence, block_w, s_targets, dim,
+                    cap=cfg.influence_change_cap, floor=cfg.influence_floor, ceil=cfg.influence_ceil,
+                )
+                if cfg.use_bounds:
+                    relax([(_relax_influence_local, (old_influence, influence))],
+                          s_assign, s_ub, s_lb, s_workspaces)
+                if not incremental:
+                    block_w = None  # force a fresh bincount reduction next iteration
+        finally:
+            for r in sessions:
+                s_workspaces[r].end_device_session()
+        merged = AssignStats()
+        for st in stats:
+            if st is not None:
+                merged.merge(st)
+        return block_w, imbalance, balanced, bit + 1, merged
+
+    def update_centers(s_pts, s_w, s_assign) -> tuple[np.ndarray, np.ndarray]:
+        """New centers from one allreduce of k x (d+1) partial sums, plus their movement."""
+        totals = comm.allreduce(comm.run_local(storage.local(
+            lambda r, pts, w, a: center_partial_sums(pts, w, a, k), read=(s_pts, s_w, s_assign))))
+        totals = totals.reshape(k, dim + 1)
+        wsum = totals[:, dim]
+        new_centers = np.where(wsum[:, None] > 0, totals[:, :dim] / np.maximum(wsum, 1e-300)[:, None], centers)
+        return new_centers, np.linalg.norm(new_centers - centers, axis=1)
+
+    def erode(s_pts, s_w, s_assign, new_centers, deltas) -> None:
+        """Influence erosion (§4.2) with beta(C) = average cluster diameter.
+
+        The diameter is 2 x the rms radius, from one extra k+k-float
+        allreduce of partial sums per movement round.
+        """
+        nonlocal influence
+        dsums = comm.allreduce(comm.run_local(storage.local(
+            lambda r, pts, w, a: diameter_partial_sums(pts, w, a, new_centers),
+            read=(s_pts, s_w, s_assign))))
+        sq_sums, cnts = dsums[:k], dsums[k:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            diam = 2.0 * np.sqrt(np.where(cnts > 0, sq_sums / np.maximum(cnts, 1e-300), 0.0))
+        positive = diam[diam > 0]
+        beta = float(positive.mean()) if positive.size else 0.0
+        influence = erode_influence(influence, deltas, beta,
+                                    floor=cfg.influence_floor, ceil=cfg.influence_ceil)
+
+    def record(deltas, imbalance, balance_iterations, stats, sample_size) -> None:
+        history.append(IterationStats(
+            iteration=len(history),
+            max_delta=float(deltas.max()),
+            imbalance=imbalance,
+            balance_iterations=balance_iterations,
+            skip_fraction=stats.skip_fraction,
+            pruning_fraction=stats.pruning_fraction,
+            sample_size=sample_size,
+        ))
+
+    with timers.stage("sampling"):
+        for size in sample_sizes:
             sizes = [min(size, int(c)) for c in counts]
             s_pts, s_w = [], []
             for r in range(p):
@@ -600,80 +822,16 @@ def _kmeans_loop(
                 s_w.append(storage.put("s_w", r, np.asarray(storage.view(local_w[r]))[rows]))
             s_assign, s_ub, s_lb = _fresh_state(storage, "s_", sizes)
             frac = sum(float(storage.view(sw).sum()) for sw in s_w) / total_w
-            s_targets = targets * frac
             s_workspaces = [SweepWorkspace(s_pts[r], cfg, k, rank=r) if keep_state else None
                             for r in range(p)]
-        state = dict(read=(s_pts, s_w), write=(s_assign, s_ub, s_lb))
-        balanced = False
-        block_w = np.array(block_w0, dtype=np.float64, copy=True) if (incremental and block_w0 is not None) else None
-        for bit in range(cfg.max_balance_iterations):
-            comm.set_stage("kmeans")
-
-            if block_w is not None:
-
-                def sweep_delta(r: int, pts, w, a, upper, lower) -> np.ndarray:
-                    delta = np.zeros(k)
-                    assign_points(pts, centers, influence, a, upper, lower, cfg,
-                                  workspace=s_workspaces[r], weights=w, delta_out=delta)
-                    return delta
-
-                block_w = block_w + comm.allreduce(comm.run_local(storage.local(sweep_delta, **state)))
-            else:
-
-                def sweep(r: int, pts, w, a, upper, lower) -> np.ndarray:
-                    assign_points(pts, centers, influence, a, upper, lower, cfg,
-                                  workspace=s_workspaces[r])
-                    return np.bincount(a, weights=np.asarray(w), minlength=k)
-
-                block_w = comm.allreduce(comm.run_local(storage.local(sweep, **state)))
-            imbalance = float((block_w / s_targets).max() - 1.0)
-            if imbalance <= cfg.epsilon:
-                balanced = True
-                break
-            if bit == cfg.max_balance_iterations - 1:
-                break
-            old_influence = influence.copy()
-            influence = adapt_influence(
-                influence, block_w, s_targets, dim,
-                cap=cfg.influence_change_cap, floor=cfg.influence_floor, ceil=cfg.influence_ceil,
-            )
-            if cfg.use_bounds:
-                relax([(_relax_influence_local, (old_influence, influence))],
-                      s_assign, s_ub, s_lb, s_workspaces)
-            if not incremental:
-                block_w = None  # force a fresh bincount reduction next iteration
-        # center update: one allreduce of k x (d+1) partial sums
-        totals = comm.allreduce(comm.run_local(storage.local(
-            lambda r, pts, w, a: center_partial_sums(pts, w, a, k), read=(s_pts, s_w, s_assign))))
-        totals = totals.reshape(k, dim + 1)
-        wsum = totals[:, dim]
-        new_centers = np.where(wsum[:, None] > 0, totals[:, :dim] / np.maximum(wsum, 1e-300)[:, None], centers)
-        deltas = np.linalg.norm(new_centers - centers, axis=1)
-
-        old_influence = influence.copy()
-        if cfg.use_erosion:
-            # beta(C) = average cluster diameter (2 x rms radius), computed
-            # like the serial code but with the partial sums allreduced —
-            # one extra k+k-float reduction per movement round.
-            dsums = comm.allreduce(comm.run_local(storage.local(
-                lambda r, pts, w, a: diameter_partial_sums(pts, w, a, new_centers),
-                read=(s_pts, s_w, s_assign))))
-            sq_sums, cnts = dsums[:k], dsums[k:]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                diam = 2.0 * np.sqrt(np.where(cnts > 0, sq_sums / np.maximum(cnts, 1e-300), 0.0))
-            positive = diam[diam > 0]
-            beta = float(positive.mean()) if positive.size else 0.0
-            influence = erode_influence(influence, deltas, beta,
-                                        floor=cfg.influence_floor, ceil=cfg.influence_ceil)
-        if size is None and cfg.use_bounds:
-            relax([(_relax_influence_local, (old_influence, influence)),
-                   (_relax_movement_local, (deltas, influence))], assignment, ub, lb, workspaces)
-        if size is not None:
+            _, imbalance, _, its, stats = balance(s_pts, s_w, s_assign, s_ub, s_lb, s_workspaces,
+                                                  targets * frac)
+            new_centers, deltas = update_centers(s_pts, s_w, s_assign)
+            record(deltas, imbalance, its, stats, sum(sizes))
+            if cfg.use_erosion:
+                erode(s_pts, s_w, s_assign, new_centers, deltas)
             storage.release(*s_pts, *s_w, *s_assign, *s_ub, *s_lb)
-        return float(deltas.max()), new_centers, balanced, block_w
-
-    for size in sample_sizes:
-        _, centers, _, _ = one_phase(size)
+            centers = new_centers
     storage.release(*sample_perms)
 
     converged = False
@@ -693,24 +851,42 @@ def _kmeans_loop(
             prev_block_w = block_w
     for it in range(start_it, cfg.max_iterations):
         iterations = it + 1
-        max_delta, new_centers, balanced, block_w = one_phase(None, prev_block_w)
-        if incremental:
-            # assignments are untouched after the phase's last sweep, so the
-            # phase's delta-maintained block weights *are* the global ones —
-            # no extra bincount reduction, and the next phase seeds from them
-            final_imbalance = float((block_w / targets).max() - 1.0)
-            prev_block_w = block_w
-        else:
-            block_w = comm.allreduce(comm.run_local(storage.local(
-                lambda r, a, w: np.bincount(a, weights=w, minlength=k), read=(assignment, local_w))))
-            final_imbalance = float((block_w / targets).max() - 1.0)
-        if max_delta < delta_threshold and balanced:
+        with timers.stage("assign"):
+            block_w, final_imbalance, balanced, its, stats = balance(
+                local_pts, local_w, assignment, ub, lb, workspaces, targets, prev_block_w)
+        # assignments are untouched after the phase's last sweep, so its
+        # block weights are the global ones; in incremental mode the next
+        # phase seeds from them instead of a full bincount reduction
+        prev_block_w = block_w if incremental else None
+        centers = centers.copy()  # relocation writes in place; sweeps cache centers by identity
+        if _relocate_empty_blocks(comm, storage, local_pts, local_w, assignment,
+                                  centers, influence, block_w, gen):
+            # a relocated center may now be anyone's runner-up
+
+            def reset_lower(r: int, lower) -> None:
+                lower[:] = 0.0
+                if workspaces[r] is not None:
+                    workspaces[r].invalidate_block_bounds()
+
+            comm.run_local(storage.local(reset_lower, write=(lb,)))
+            prev_block_w = None  # the relocation moved weight between the estimates
+            continue
+        with timers.stage("update"):
+            new_centers, deltas = update_centers(local_pts, local_w, assignment)
+        record(deltas, final_imbalance, its, stats, n)
+        old_influence = influence.copy()
+        if cfg.use_erosion:
+            erode(local_pts, local_w, assignment, new_centers, deltas)
+        if cfg.use_bounds:
+            relax([(_relax_influence_local, (old_influence, influence)),
+                   (_relax_movement_local, (deltas, influence))], assignment, ub, lb, workspaces)
+        if deltas.max() < delta_threshold and balanced:
             converged = True
             break
         centers = new_centers
         if ckpt.store is not None and (it + 1) % ckpt.every == 0:
-            _save_checkpoint(comm, storage, ckpt, it + 1, gen, centers, influence,
-                             block_w, assignment, ub, lb)
+            _save_checkpoint(comm, storage, ckpt, it + 1, gen, centers, influence, targets,
+                             block_w, history, assignment, ub, lb)
 
     result = DistributedKMeansResult(
         assignment=storage.gather(assignment, local_ids, n),

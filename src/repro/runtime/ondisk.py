@@ -60,7 +60,7 @@ from repro.io.spill import SpillHandle, SpillStore
 from repro.runtime.checkpoint import CheckpointStore, load_resume_lazy
 from repro.runtime.comm import Comm, CostLedger
 from repro.runtime.costmodel import MachineModel, MachineTopology
-from repro.runtime.distributed_kmeans import _kmeans_loop, _run_context
+from repro.runtime.distributed_kmeans import _check_sfc_seeding, _kmeans_loop, _run_context
 from repro.runtime.distsort import sample_sort
 from repro.sfc.curves import DEFAULT_BITS, sfc_index
 from repro.util.validation import check_k
@@ -318,6 +318,7 @@ def ondisk_distributed_kmeans(
         per-shard state streamed back to spill one shard at a time.
     """
     cfg = config or BalancedKMeansConfig()
+    _check_sfc_seeding(cfg)
     if not isinstance(dataset, ShardedDataset):
         dataset = ShardedDataset(dataset)
     k = check_k(k, dataset.n)

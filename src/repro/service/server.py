@@ -327,15 +327,13 @@ class PartitionService:
     def _warm_state(
         self, points: np.ndarray, k: int, sfc_order: np.ndarray | None,
         workspace: SweepWorkspace | None,
-    ) -> tuple[np.ndarray | None, SweepWorkspace | None]:
+    ) -> tuple[np.ndarray, SweepWorkspace | None]:
         """(Re)build the (sfc_order, workspace) pair for one point set + k."""
         cfg = self.config
-        order = sfc_order
-        if order is None and (cfg.sfc_sort or cfg.seeding == "sfc"):
-            order = compute_sfc_order(points, cfg)
+        order = compute_sfc_order(points, cfg) if sfc_order is None else sfc_order
         if int(k) == 1:
             return order, None  # k == 1 short-circuits before any sweep
-        work = points[order] if (cfg.sfc_sort and order is not None) else points
+        work = points[order]
         if workspace is None or not workspace.matches(work, cfg, k):
             workspace = SweepWorkspace(np.ascontiguousarray(work), cfg, int(k))
             self.ledger.count("workspaces_built")

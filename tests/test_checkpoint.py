@@ -261,13 +261,26 @@ class TestDistributedResume:
             distributed_balanced_kmeans(_points(n=300, seed=9), 4, 2, config=self.CFG,
                                         rng=7, resume_from=store)
 
-    def test_serial_checkpoint_rejected_by_distributed_resume(self, tmp_path):
+    def test_serial_checkpoint_resumes_on_two_ranks(self, tmp_path):
+        """A serial checkpoint is a one-shard checkpoint: any rank count resumes it."""
         pts = _points(n=300)
-        store = CheckpointStore(tmp_path)
+        full = balanced_kmeans(pts, 4, config=self.CFG, rng=7)
+        store = CheckpointStore(tmp_path, keep=100)
         balanced_kmeans(pts, 4, config=self.CFG, rng=7, checkpoint=store)
-        with pytest.raises(CheckpointMismatchError, match="cannot resume"):
-            distributed_balanced_kmeans(pts, 4, 2, config=self.CFG, rng=7,
-                                        resume_from=store)
+        mid = store.candidates()[len(store.candidates()) // 2]
+        resumed = distributed_balanced_kmeans(pts, 4, 2, config=self.CFG, rng=7,
+                                              resume_from=str(mid))
+        _assert_same_partition(full, resumed)
+        assert resumed.nranks == 1
+
+    def test_distributed_checkpoint_resumes_serially(self, tmp_path):
+        pts = _points(n=300)
+        full = self._full(pts, p=3)
+        store = CheckpointStore(tmp_path, keep=100)
+        distributed_balanced_kmeans(pts, 4, 3, config=self.CFG, rng=7, checkpoint=store)
+        mid = store.candidates()[len(store.candidates()) // 2]
+        _assert_same_partition(full, balanced_kmeans(pts, 4, config=self.CFG, rng=7,
+                                                     resume_from=str(mid)))
 
     @pytest.mark.process_backend
     def test_process_checkpoint_resumes_on_virtual_and_back(self, tmp_path):

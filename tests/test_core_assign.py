@@ -1,4 +1,4 @@
-"""Tests for the vectorised assign-and-balance kernel (Algorithm 1).
+"""Tests for the vectorised assignment sweep and the assign-and-balance phase (Algorithm 1).
 
 The central invariant: Hamerly bounds and bounding-box pruning are *exact*
 optimisations — any configuration of switches yields identical assignments.
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.assign import AssignStats, _box_candidates, assign_and_balance, assign_points
+from repro.core.assign import AssignStats, _box_candidates, assign_points
+from repro.core.balanced_kmeans import balanced_kmeans
 from repro.core.bounds import init_bounds
 from repro.core.config import BalancedKMeansConfig
 from repro.geometry.distances import effective_distances
@@ -93,22 +94,25 @@ class TestBoxCandidates:
 
 
 class TestAssignAndBalance:
+    """Algorithm 1 as the Algorithm 2 loop runs it: one movement round from given centers."""
+
+    @staticmethod
+    def _one_phase(pts, k, centers, **cfg):
+        cfg = BalancedKMeansConfig(max_iterations=1, **cfg)
+        return balanced_kmeans(pts, k, centers=centers, config=cfg, rng=0), cfg
+
     def test_reaches_balance(self):
         rng = np.random.default_rng(8)
         pts = rng.random((2000, 2))
         k = 8
         from repro.core.seeding import sfc_seeding
 
-        centers = sfc_seeding(pts, k)
-        cfg = BalancedKMeansConfig(max_balance_iterations=50)
-        assignment = np.zeros(len(pts), dtype=np.int64)
-        ub, lb = init_bounds(len(pts))
-        weights = np.ones(len(pts))
-        targets = np.full(k, len(pts) / k)
-        outcome = assign_and_balance(pts, weights, centers, np.ones(k), assignment, ub, lb, targets, cfg)
-        assert outcome.balanced
-        assert outcome.imbalance <= cfg.epsilon
-        assert outcome.block_weights.sum() == pytest.approx(len(pts))
+        res, cfg = self._one_phase(pts, k, sfc_seeding(pts, k), max_balance_iterations=50)
+        assert res.history[0].balance_iterations < cfg.max_balance_iterations
+        assert res.imbalance <= cfg.epsilon
+        block_weights = np.bincount(res.assignment, minlength=k)
+        assert block_weights.sum() == len(pts)
+        assert block_weights.max() / (len(pts) / k) - 1.0 == pytest.approx(res.imbalance)
 
     def test_influence_consistent_with_assignment(self):
         """Returned influence is the one the final assignment was computed with."""
@@ -116,25 +120,17 @@ class TestAssignAndBalance:
         pts = rng.random((500, 2))
         k = 4
         centers = pts[rng.choice(500, k, replace=False)]
-        cfg = BalancedKMeansConfig(max_balance_iterations=10)
-        assignment = np.zeros(len(pts), dtype=np.int64)
-        ub, lb = init_bounds(len(pts))
-        targets = np.full(k, len(pts) / k)
-        outcome = assign_and_balance(pts, np.ones(len(pts)), centers, np.ones(k), assignment, ub, lb, targets, cfg)
-        expected = effective_distances(pts, centers, outcome.influence).argmin(axis=1)
-        assert np.array_equal(assignment, expected)
+        res, _ = self._one_phase(pts, k, centers, max_balance_iterations=10, use_erosion=False)
+        expected = effective_distances(pts, centers, res.influence).argmin(axis=1)
+        assert np.array_equal(res.assignment, expected)
 
-    def test_input_influence_not_mutated(self):
+    def test_warm_start_centers_not_mutated(self):
         rng = np.random.default_rng(10)
         pts = rng.random((300, 2))
-        influence = np.ones(3)
-        centers = pts[:3]
-        cfg = BalancedKMeansConfig()
-        assignment = np.zeros(300, dtype=np.int64)
-        ub, lb = init_bounds(300)
-        assign_and_balance(pts, np.ones(300), centers, influence, assignment, ub, lb,
-                           np.full(3, 100.0), cfg)
-        assert np.all(influence == 1.0)
+        centers = pts[:3].copy()
+        before = centers.copy()
+        self._one_phase(pts, 3, centers)
+        assert np.array_equal(centers, before)
 
 
 @settings(max_examples=25, deadline=None)

@@ -76,8 +76,24 @@ class TestCenterUpdate:
         assert np.array_equal(weighted_center_update(pts, w, a, k, prev), reference)
 
 
+def _reseed(pts, weights, assignment, centers, influence, block_weights, rng, p=1):
+    """Run the Algorithm 2 loop's empty-block reseed with the points split over ``p`` ranks."""
+    from repro.runtime.comm import VirtualComm
+    from repro.runtime.distributed_kmeans import SharedStorage, _relocate_empty_blocks
+
+    comm = VirtualComm(p)
+    storage = SharedStorage(comm)
+    cuts = np.array_split(np.arange(len(pts)), p)
+
+    def spread(array):
+        return [storage.put("x", r, np.asarray(array)[ix]) for r, ix in enumerate(cuts)]
+
+    return _relocate_empty_blocks(comm, storage, spread(pts), spread(weights), spread(assignment),
+                         centers, influence, block_weights, rng)
+
+
 class TestReseedEmpty:
-    """_reseed_empty relocates empty clusters into the heaviest one."""
+    """The loop's empty-block relocation moves empty clusters into the heaviest one."""
 
     def _state(self, n=40, k=3, seed=0):
         rng = np.random.default_rng(seed)
@@ -89,19 +105,15 @@ class TestReseedEmpty:
         return pts, assignment, centers, influence, block_weights, rng
 
     def test_noop_when_no_empty_cluster(self):
-        from repro.core.balanced_kmeans import _reseed_empty
-
         pts, assignment, centers, influence, bw, rng = self._state()
         bw = np.array([20.0, 10.0, 10.0])
         before = centers.copy()
-        assert not _reseed_empty(pts, np.ones(len(pts)), assignment, centers, influence, bw, rng)
+        assert not _reseed(pts, np.ones(len(pts)), assignment, centers, influence, bw, rng)
         assert np.array_equal(centers, before)
 
     def test_empty_centers_move_to_far_points_of_heaviest(self):
-        from repro.core.balanced_kmeans import _reseed_empty
-
         pts, assignment, centers, influence, bw, rng = self._state()
-        assert _reseed_empty(pts, np.ones(len(pts)), assignment, centers, influence, bw, rng)
+        assert _reseed(pts, np.ones(len(pts)), assignment, centers, influence, bw, rng)
         # relocated centers now sit on actual points, not at (2,2)/(3,3)
         for c in (1, 2):
             assert np.any(np.all(np.isclose(pts, centers[c]), axis=1))
@@ -109,29 +121,23 @@ class TestReseedEmpty:
             assert bw[c] == 1.0  # seeded with the stolen point's weight
 
     def test_first_relocation_is_farthest_point(self):
-        from repro.core.balanced_kmeans import _reseed_empty
-
         pts, assignment, centers, influence, bw, rng = self._state(seed=1)
         d = np.linalg.norm(pts - centers[0], axis=1)
         farthest = pts[int(np.argmax(d))].copy()
-        _reseed_empty(pts, np.ones(len(pts)), assignment, centers, influence, bw, rng)
+        _reseed(pts, np.ones(len(pts)), assignment, centers, influence, bw, rng)
         assert np.allclose(centers[1], farthest)
 
     def test_multiple_empties_get_distinct_points(self):
         """Regression: simultaneous empties used to all land on the same
         farthest point of the same heaviest cluster, yielding duplicate
         centers; weight tracking + exclusion must keep them distinct."""
-        from repro.core.balanced_kmeans import _reseed_empty
-
         pts, assignment, centers, influence, bw, rng = self._state()
-        assert _reseed_empty(pts, np.ones(len(pts)), assignment, centers, influence, bw, rng)
+        assert _reseed(pts, np.ones(len(pts)), assignment, centers, influence, bw, rng)
         assert not np.allclose(centers[1], centers[2]), "empty centers collapsed onto one point"
         # donor cluster paid for both stolen points
         assert bw[0] == len(pts) - 2
 
     def test_many_empties_all_distinct(self):
-        from repro.core.balanced_kmeans import _reseed_empty
-
         rng = np.random.default_rng(6)
         n, k = 60, 6
         pts = rng.random((n, 2))
@@ -139,13 +145,11 @@ class TestReseedEmpty:
         centers = np.vstack([[0.5, 0.5]] + [[2.0 + i, 2.0 + i] for i in range(k - 1)])
         influence = np.ones(k)
         bw = np.concatenate([[float(n)], np.zeros(k - 1)])
-        assert _reseed_empty(pts, np.ones(n), assignment, centers, influence, bw, rng)
+        assert _reseed(pts, np.ones(n), assignment, centers, influence, bw, rng)
         uniq = np.unique(centers.round(12), axis=0)
         assert uniq.shape[0] == k, "relocated centers must be pairwise distinct"
 
     def test_singleton_heaviest_uses_random_point(self):
-        from repro.core.balanced_kmeans import _reseed_empty
-
         pts = np.random.default_rng(2).random((5, 2))
         # cluster 1 is heaviest (one very heavy point) but holds exactly one
         # point, so the relocation falls back to a random point
@@ -153,9 +157,37 @@ class TestReseedEmpty:
         centers = np.array([[0.2, 0.2], [0.9, 0.9], [5.0, 5.0]])
         influence = np.ones(3)
         bw = np.array([0.5, 4.0, 0.0])
-        assert _reseed_empty(pts, np.ones(5), assignment, centers, influence, bw,
-                             np.random.default_rng(3))
+        assert _reseed(pts, np.ones(5), assignment, centers, influence, bw,
+                       np.random.default_rng(3))
         assert np.any(np.all(np.isclose(pts, centers[2]), axis=1))
+
+    def _cases(self):
+        """States covering the farthest-point, tie and random-fallback paths."""
+        pts, assignment, centers, influence, bw, _ = self._state(seed=5)
+        yield pts, np.ones(len(pts)), assignment, centers, influence, bw
+        rng = np.random.default_rng(8)
+        n, k = 61, 7
+        pts = rng.random((n, 2))
+        pts[[3, 50]] = [[-1.0, -1.0], [-1.0, -1.0]]  # equidistant farthest points on both ranks
+        assignment = rng.integers(0, 2, n)
+        weights = rng.uniform(0.5, 2.0, n)
+        centers = np.vstack([[0.5, 0.5], [0.4, 0.6]] + [[9.0 + i, 9.0] for i in range(k - 2)])
+        bw = np.concatenate([np.bincount(assignment, weights=weights, minlength=2), np.zeros(k - 2)])
+        yield pts, weights, assignment, centers, np.ones(k), bw
+        pts = np.random.default_rng(2).random((5, 2))
+        yield (pts, np.ones(5), np.array([0, 0, 0, 0, 1]), np.array([[0.2, 0.2], [0.9, 0.9], [5.0, 5.0]]),
+               np.ones(3), np.array([0.5, 4.0, 0.0]))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_ranks_pick_the_points_one_rank_picks(self, p):
+        """Any rank count relocates onto exactly the points the one-rank run picks."""
+        for pts, weights, assignment, centers, influence, bw in self._cases():
+            one = [centers.copy(), influence.copy(), bw.copy()]
+            many = [centers.copy(), influence.copy(), bw.copy()]
+            assert _reseed(pts, weights, assignment, *one, np.random.default_rng(3))
+            assert _reseed(pts, weights, assignment, *many, np.random.default_rng(3), p=p)
+            for a, b in zip(one, many):
+                assert np.array_equal(a, b)
 
     def test_end_to_end_random_seeding_fills_all_blocks(self):
         """Random seeding on clustered data can create empties; the driver recovers."""

@@ -137,7 +137,7 @@ class TestBackendResolution:
     @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
     def test_numba_matches_numpy(self):
         pts, centers, influence = _random_case(4, 500, 12, 2)
-        cfg_np = BalancedKMeansConfig(kernel_backend="numpy", sfc_sort=False)
+        cfg_np = BalancedKMeansConfig(kernel_backend="numpy", use_box_pruning=False)
         cfg_nb = cfg_np.with_(kernel_backend="numba")
         outs = []
         for cfg in (cfg_np, cfg_nb):
@@ -186,10 +186,10 @@ class TestSweepWorkspace:
             for a, b in zip(out_shared[0], out_shared[1]):
                 assert np.array_equal(a, b)
 
-    def test_static_blocks_only_with_sfc_sort(self):
+    def test_static_blocks_only_with_box_pruning(self):
         pts = np.random.default_rng(8).random((300, 2))
-        on = SweepWorkspace(pts, BalancedKMeansConfig(sfc_sort=True, chunk_size=64), 8)
-        off = SweepWorkspace(pts, BalancedKMeansConfig(sfc_sort=False, chunk_size=64), 8)
+        on = SweepWorkspace(pts, BalancedKMeansConfig(use_box_pruning=True, chunk_size=64), 8)
+        off = SweepWorkspace(pts, BalancedKMeansConfig(use_box_pruning=False, chunk_size=64), 8)
         assert on.has_static_blocks and not off.has_static_blocks
         assert on.n_blocks == int(np.ceil(300 / 64))
 
@@ -202,7 +202,7 @@ class TestSweepWorkspace:
         pts = pts[np.argsort(sfc_index(pts), kind="stable")]
         centers = rng.random((16, 2))
         influence = rng.uniform(0.5, 2.0, 16)
-        base = BalancedKMeansConfig(chunk_size=128, sfc_sort=True)
+        base = BalancedKMeansConfig(chunk_size=128)
         ref = effective_distances(pts, centers, influence).argmin(axis=1)
         for use_pruning in (True, False):
             cfg = base.with_(use_box_pruning=use_pruning)
@@ -227,7 +227,7 @@ class TestSweepWorkspace:
 
     def test_empty_point_set(self):
         """An empty rank (distributed runtime) must sweep as a no-op."""
-        cfg = BalancedKMeansConfig()  # sfc_sort + pruning on: the static-block path
+        cfg = BalancedKMeansConfig()  # pruning on: the static-block path
         empty = np.empty((0, 2))
         ws = SweepWorkspace(empty, cfg, 4)
         assert not ws.has_static_blocks

@@ -23,7 +23,6 @@ from repro.core.assign import (
     AssignStats,
     _merge_sparse_chunks,
     _static_block_chunks,
-    assign_and_balance,
     assign_points,
 )
 from repro.core.balanced_kmeans import balanced_kmeans
@@ -37,6 +36,7 @@ from repro.core.bounds import (
 from repro.core.config import BalancedKMeansConfig
 from repro.core.kernels import HAVE_NUMBA, SweepWorkspace
 from repro.geometry.distances import effective_distances
+from repro.runtime.distributed_kmeans import distributed_balanced_kmeans
 from repro.sfc.curves import sfc_index
 
 
@@ -107,21 +107,15 @@ class TestDeltaBlockWeights:
         _drive_sequence(pts, weights, centers, rng, cfg, steps=8, check=check)
 
     def test_assign_and_balance_block_weights_match_bincount(self):
+        """The loop's delta-maintained block weights stay exact across phases."""
         pts, weights, centers, _ = _sorted_workload(3, 3000, 8)
         cfg = BalancedKMeansConfig(chunk_size=256, max_balance_iterations=25)
-        ws = SweepWorkspace(pts, cfg, 8)
-        assignment = np.zeros(3000, dtype=np.int64)
-        ub, lb = init_bounds(3000)
-        targets = np.full(8, weights.sum() / 8)
-        out = assign_and_balance(pts, weights, centers, np.ones(8), assignment, ub, lb,
-                                 targets, cfg, ws)
-        assert np.array_equal(out.block_weights,
-                              np.bincount(assignment, weights=weights, minlength=8))
-        # next phase seeded from the previous block weights stays exact
-        out2 = assign_and_balance(pts, weights, centers, out.influence, assignment, ub, lb,
-                                  targets, cfg, ws, initial_block_weights=out.block_weights)
-        assert np.array_equal(out2.block_weights,
-                              np.bincount(assignment, weights=weights, minlength=8))
+        for nranks in (1, 3):
+            for phases in (1, 3):  # later phases seed from the previous block weights
+                res = distributed_balanced_kmeans(pts, 8, nranks, weights=weights, centers=centers,
+                                                  config=cfg.with_(max_iterations=phases), rng=0)
+                assert np.array_equal(res.block_weights,
+                                      np.bincount(res.assignment, weights=weights, minlength=8))
 
 
 class TestBlockFilterConservative:
@@ -223,7 +217,7 @@ class TestCandidateLocalRelax:
 
     def test_eager_exclusive_forms_are_valid_too(self):
         pts, weights, centers, rng = _sorted_workload(23, 700, 7)
-        cfg = BalancedKMeansConfig(chunk_size=128, sfc_sort=False)  # no workspace path
+        cfg = BalancedKMeansConfig(chunk_size=128, use_box_pruning=False)  # no static blocks
         assignment = np.zeros(700, dtype=np.int64)
         ub, lb = init_bounds(700)
         influence = np.ones(7)
@@ -335,35 +329,11 @@ class TestEndToEndIdentity:
         assert np.array_equal(a.influence, b.influence)
 
     def test_incremental_inert_without_static_blocks(self):
-        """No sfc_sort -> no static blocks -> the engine degrades silently."""
+        """No box pruning -> no static blocks -> the engine degrades silently."""
         pts = np.random.default_rng(8).random((2000, 2))
-        cfg = BalancedKMeansConfig(use_incremental=True, sfc_sort=False)
+        cfg = BalancedKMeansConfig(use_incremental=True, use_box_pruning=False)
         ws = SweepWorkspace(pts, cfg, 6)
         assert not ws.incremental
         res = balanced_kmeans(pts, 6, rng=0, config=cfg)
         assert res.imbalance <= 0.031
 
-    def test_workspace_reuse_across_equal_sample_rounds(self, monkeypatch):
-        """Equal-size sampled-init rounds reuse one workspace (satellite)."""
-        import importlib
-
-        bk = importlib.import_module("repro.core.balanced_kmeans")
-        perm = np.random.default_rng(0).permutation(4000)
-        monkeypatch.setattr(bk, "sample_schedule",
-                            lambda n, cfg, gen: [perm[:500], perm[:500], perm[:1000]])
-        built = []
-        real_ws = bk.SweepWorkspace
-
-        class CountingWS(real_ws):
-            def __init__(self, points, config, k, **kwargs):
-                built.append(points.shape[0])
-                super().__init__(points, config, k, **kwargs)
-
-        monkeypatch.setattr(bk, "SweepWorkspace", CountingWS)
-        pts = np.random.default_rng(1).random((4000, 2))
-        bk.balanced_kmeans(pts, 8, rng=3)
-        # one workspace for the two equal 500-point rounds, one for the
-        # 1000-point round, one for the main loop
-        assert built.count(500) == 1
-        assert built.count(1000) == 1
-        assert built.count(4000) == 1

@@ -1,6 +1,7 @@
 """Tests for the distributed (simulated SPMD) Geographer."""
 
 import numpy as np
+import pytest
 
 from repro.core.balanced_kmeans import balanced_kmeans
 from repro.core.config import BalancedKMeansConfig
@@ -90,3 +91,73 @@ class TestDistributedKMeans:
         cfg = BalancedKMeansConfig(use_sampling=True)
         res = distributed_balanced_kmeans(pts, k=4, nranks=4, config=cfg, rng=21)
         assert res.imbalance <= 0.031
+
+
+def _resolves_to(kernel_backend):
+    import warnings
+
+    from repro.core.xp import resolve_kernel_backend
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return resolve_kernel_backend(kernel_backend)
+
+
+class TestOneRankInvariant:
+    """Serial ``balanced_kmeans`` is the Algorithm 2 loop on one virtual rank."""
+
+    CASES = {
+        "sampling": {},
+        "no-sampling": {"use_sampling": False},
+        "no-incremental": {"use_incremental": False},
+        "no-erosion": {"use_erosion": False},
+    }
+
+    @pytest.mark.parametrize("kernel_backend", ["numpy", "numba", "torch-cpu"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_serial_equals_one_rank(self, case, weighted, kernel_backend):
+        if _resolves_to(kernel_backend) != kernel_backend:
+            pytest.skip(f"{kernel_backend} resolves to another backend on this host")
+        rng = np.random.default_rng(22)
+        pts = rng.random((3000, 2))
+        w = rng.integers(1, 5, 3000).astype(np.float64) if weighted else None
+        cfg = BalancedKMeansConfig(kernel_backend=kernel_backend, **self.CASES[case])
+        serial = balanced_kmeans(pts, 8, weights=w, config=cfg, rng=23)
+        dist = distributed_balanced_kmeans(pts, 8, nranks=1, weights=w, config=cfg, rng=23)
+        _assert_identical(serial, dist)
+
+    def test_warm_start(self):
+        pts = _pts(4000, seed=24)
+        cold = balanced_kmeans(pts, 6, rng=25)
+        serial = balanced_kmeans(pts, 6, centers=cold.centers, rng=26)
+        dist = distributed_balanced_kmeans(pts, 6, nranks=1, centers=cold.centers, rng=26)
+        _assert_identical(serial, dist)
+
+
+def _assert_identical(serial, dist):
+    np.testing.assert_array_equal(serial.assignment, dist.assignment)
+    np.testing.assert_array_equal(serial.centers, dist.centers)
+    np.testing.assert_array_equal(serial.influence, dist.influence)
+    assert serial.imbalance == dist.imbalance
+    assert serial.iterations == dist.iterations
+    assert serial.converged == dist.converged
+
+
+class TestSeedingIsSfcOnly:
+    """Distributed runs seed from the SFC order; other seedings fail loudly."""
+
+    @pytest.mark.parametrize("seeding", ["random", "kmeans++"])
+    def test_in_memory_rejects_other_seeding(self, seeding):
+        with pytest.raises(ValueError, match="sfc"):
+            distributed_balanced_kmeans(_pts(400), 8, 2, config=BalancedKMeansConfig(seeding=seeding))
+
+    @pytest.mark.parametrize("seeding", ["random", "kmeans++"])
+    def test_ondisk_rejects_other_seeding(self, seeding, tmp_path):
+        from repro.io.sharded import write_sharded
+        from repro.runtime.ondisk import ondisk_distributed_kmeans
+
+        ds = write_sharded(tmp_path / "ds", _pts(400), shard_rows=100)
+        with pytest.raises(ValueError, match="sfc"):
+            ondisk_distributed_kmeans(ds, 8, 2, config=BalancedKMeansConfig(seeding=seeding),
+                                      spill_dir=tmp_path / "spill")
