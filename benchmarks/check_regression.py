@@ -13,7 +13,9 @@ argument defaults to (``fresh/<basename of the committed file>``).
 Two schemas are recognised by their keys:
 
 - ``BENCH_balance.json`` (``{"incremental": ...}``): the incremental-engine
-  phase time is compared directly.
+  phase time is compared directly; the point evaluations are reported
+  alongside (the bench itself fails when they exceed the committed count
+  by more than 10 %).
 - ``BENCH_kernels.json`` (``{"entries": [...]}``): every sweep bench present
   in *both* files (matched by name) is compared on ``seconds_min``; benches
   missing on either side — e.g. numba/torch entries measured only where the
@@ -45,7 +47,8 @@ def compare_balance(committed: dict, fresh: dict) -> tuple[float, list[str]]:
     ratio = new / old
     lines = [
         f"incremental phase: committed {old:.2f}s, fresh {new:.2f}s ({ratio:.2f}x)",
-        f"fresh speedup over full path: {fresh['speedup_incremental_vs_full']:.2f}x",
+        f"point evaluations: committed {committed['incremental']['points_evaluated']}, "
+        f"fresh {fresh['incremental']['points_evaluated']}",
     ]
     return ratio, lines
 

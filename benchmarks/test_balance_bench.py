@@ -1,4 +1,4 @@
-"""Balance-phase trajectory benchmark: incremental engine vs the full path.
+"""Balance-phase trajectory benchmark for the incremental sweep engine.
 
 Extends the perf trajectory started by ``test_kernels_bench.py``
 (BENCH_kernels.json) with the assign-and-balance *phase*: a repartitioning
@@ -6,9 +6,8 @@ trajectory on ``n = 500k, k = 256`` where a localized refinement hot-spot
 (a small region whose integer weights quadruple, moving between rounds)
 keeps the affected clusters' influence adapting at the 5 % cap for many
 balance iterations per phase.  This is the regime the incremental engine
-targets: the full path relaxes every point's runner-up bound by the
-*global* worst-case factor each iteration (``lb *= ratio.min()``), so one
-capped cluster forces periodic re-evaluation of the whole point set, while
+targets: a global-factor relaxation (``lb *= ratio.min()``) would let one
+capped cluster force periodic re-evaluation of the whole point set, while
 the candidate-local relaxations confine the damage to the §4.4
 neighbourhoods of the adapting clusters, and the block weights are
 maintained from per-sweep assignment deltas instead of a full ``bincount``
@@ -22,17 +21,20 @@ and the SFC order.  Only the balance phases (the ``assign`` stage of the
 returned timers) are timed — that is the phase the incremental engine
 accelerates; evaluated points come from the per-round history.
 
-Integer weights make every weight sum exact in float64, so the incremental
-and full paths must agree *bit for bit* — assignments, centers, influence,
-imbalance and balance-iteration counts for the whole trajectory — and the
-reported imbalance of the delta-maintained block weights must equal the
-one recomputed with ``np.bincount``.
+Integer weights make every weight sum exact in float64, so the reported
+imbalance of the delta-maintained block weights must equal the one
+recomputed with ``np.bincount``.  Bit identity with the ``use_bounds=False``
+ablation is checked on a scaled-down copy of this trajectory in
+``tests/test_incremental.py``.
 
 Results land in the ``results/fresh/BENCH_balance.json`` sidecar (machine-readable
-perf floor for future PRs); the ≥ 1.5x end-to-end phase speedup is enforced
-outside CI (shared runners are too noisy for wall-clock thresholds).
+perf floor for future PRs).  The gate is on work, not wall-clock: the
+trajectory's point evaluations repeat exactly on every host, so they may
+not exceed the committed count by more than 10 %.  Phase seconds are
+compared against the committed baseline by ``check_regression.py``.
 """
 
+import json
 import os
 
 import numpy as np
@@ -69,10 +71,9 @@ def workload():
     return pts, weights, centers
 
 
-def _run_trajectory(pts, base_w, centers0, use_incremental):
+def _run_trajectory(pts, base_w, centers0):
     """Settle, then warm repartitions under a moving refinement hot-spot."""
     cfg = BalancedKMeansConfig(
-        use_incremental=use_incremental,
         epsilon=EPSILON,
         max_balance_iterations=MAX_BALANCE_ITERATIONS,
         incremental_block_size=64,
@@ -104,40 +105,27 @@ def _run_trajectory(pts, base_w, centers0, use_incremental):
         "seconds": phase_seconds,
         "iterations": iterations,
         "evaluated": evaluated,
-        "assignment": result.assignment.copy(),
-        "centers": result.centers.copy(),
-        "influence": result.influence.copy(),
         "imbalance": result.imbalance,
         "bincount_imbalance": float((final_bincount / (w.sum() / K)).max() - 1.0),
     }
 
 
 def test_balance_trajectory_speedup_and_identity(workload, bench_json_writer):
-    """Full vs incremental trajectory: bit-identical results, >= 1.5x phase time."""
+    """Engine trajectory: exact block weights, point evaluations within 10 % of the baseline."""
     pts, weights, centers = workload
-    # two repeats per mode, alternating the modes so host drift hits both,
-    # keep the faster (standard min-of-repeats timing; the trajectory is
-    # deterministic, so results are identical across repeats and only the
-    # wall-clock varies)
-    runs = {False: [], True: []}
-    for _ in range(2):
-        for use_incremental in (False, True):
-            runs[use_incremental].append(_run_trajectory(pts, weights, centers, use_incremental))
-    full, inc = (min(runs[mode], key=lambda r: r["seconds"]) for mode in (False, True))
-
-    # --- bit-identity: the incremental engine is an exact optimisation ----
-    assert np.array_equal(full["assignment"], inc["assignment"]), "assignments diverged"
-    assert np.array_equal(full["centers"], inc["centers"]), "centers diverged"
-    assert np.array_equal(full["influence"], inc["influence"]), "influence diverged"
-    assert full["imbalance"] == inc["imbalance"], "imbalance diverged"
-    assert full["iterations"] == inc["iterations"], "balance-iteration counts diverged"
+    with open(BENCH_JSON) as fh:
+        committed_evaluated = json.load(fh)["incremental"]["points_evaluated"]
+    # two repeats, keep the faster (standard min-of-repeats timing; the
+    # trajectory is deterministic, so only the wall-clock varies)
+    runs = [_run_trajectory(pts, weights, centers) for _ in range(2)]
+    inc = min(runs, key=lambda r: r["seconds"])
+    assert runs[0]["evaluated"] == runs[1]["evaluated"], "trajectory is not deterministic"
     # integer weights: the delta-maintained block weights must equal the
     # full bincount bit-for-bit, so must the imbalance derived from them
     assert inc["imbalance"] == inc["bincount_imbalance"], (
         "incremental block weights differ from np.bincount"
     )
 
-    speedup = full["seconds"] / inc["seconds"]
     payload = {
         "workload": {
             "n": N, "k": K, "d": D,
@@ -151,34 +139,22 @@ def test_balance_trajectory_speedup_and_identity(workload, bench_json_writer):
             "max_balance_iterations": MAX_BALANCE_ITERATIONS,
             "driver": "balanced_kmeans warm repartitions (influence restarts at 1 each round)",
         },
-        "balance_iterations": full["iterations"],
-        "full": {
-            "seconds": full["seconds"],
-            "points_evaluated": int(full["evaluated"]),
-            "ms_per_balance_iteration": full["seconds"] / full["iterations"] * 1e3,
-        },
+        "balance_iterations": inc["iterations"],
         "incremental": {
             "seconds": inc["seconds"],
             "points_evaluated": int(inc["evaluated"]),
             "ms_per_balance_iteration": inc["seconds"] / inc["iterations"] * 1e3,
         },
-        "speedup_incremental_vs_full": speedup,
-        "evaluation_reduction": full["evaluated"] / max(inc["evaluated"], 1),
-        "bit_identical": True,
     }
     written = bench_json_writer(BENCH_JSON, payload)
     print(
-        f"\n[BENCH] assign-and-balance phase: {speedup:.2f}x "
-        f"({full['seconds']:.2f}s -> {inc['seconds']:.2f}s over "
-        f"{full['iterations']} balance iterations; evaluations "
-        f"{full['evaluated'] / 1e6:.1f}M -> {inc['evaluated'] / 1e6:.1f}M) "
-        f"[written to {written}]"
+        f"\n[BENCH] assign-and-balance phase: {inc['seconds']:.2f}s over "
+        f"{inc['iterations']} balance iterations, {inc['evaluated'] / 1e6:.1f}M point "
+        f"evaluations (committed {committed_evaluated / 1e6:.1f}M) [written to {written}]"
     )
-    # shared CI runners are too noisy for wall-clock thresholds; there the
-    # measurements are recorded (and uploaded as an artifact) but not enforced
-    if os.environ.get("CI"):
-        return
-    # regression guard with headroom below the controlled number (see the
-    # committed BENCH_balance.json: ~1.5-1.6x on a quiet machine), matching
-    # the convention of BENCH_kernels.json
-    assert speedup >= 1.3, f"incremental engine regressed: only {speedup:.2f}x vs full path"
+    # a work count repeats exactly on any host, so unlike wall-clock it is
+    # safe to gate on in CI
+    assert inc["evaluated"] <= 1.1 * committed_evaluated, (
+        f"incremental engine regressed: {inc['evaluated']} point evaluations vs "
+        f"{committed_evaluated} committed"
+    )

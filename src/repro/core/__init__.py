@@ -13,7 +13,7 @@ seeding and the sampled-round schedule in :mod:`repro.core.seeding` and
 """
 
 from repro.core.config import BalancedKMeansConfig
-from repro.core.kernels import SweepWorkspace, resolve_backend
+from repro.core.kernels import SweepWorkspace
 from repro.core.result import IterationStats, KMeansResult
 from repro.core.balanced_kmeans import balanced_kmeans
 from repro.core.seeding import kmeanspp_seeding, random_seeding, sfc_seeding
@@ -22,7 +22,6 @@ from repro.core.xp import available_kernel_backends, kernel_backend_names
 __all__ = [
     "BalancedKMeansConfig",
     "SweepWorkspace",
-    "resolve_backend",
     "kernel_backend_names",
     "available_kernel_backends",
     "KMeansResult",

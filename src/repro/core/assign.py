@@ -5,23 +5,26 @@ sweep of it over numpy arrays:
 
 - the Hamerly filter ``ub < lb`` selects, in one vector comparison, the
   points whose assignment provably cannot have changed (line 9);
-- the remaining points are processed in chunks; per chunk, the bounding-box
-  rule of §4.4 selects candidate centers *exactly*: a center whose minimum
-  effective distance to the chunk's bounding box exceeds the second-smallest
-  *maximum* effective distance of any center to that box can be neither the
-  best nor the runner-up for any point in the box, so dropping it cannot
-  change assignments or bounds (the two centers defining the threshold are
-  always kept, making the rule self-consistent).
+- the remaining points are processed in chunks; with box pruning on, the
+  chunks follow the workspace's static SFC blocks and the bounding-box rule
+  of §4.4 selects candidate centers *exactly* per block: a center whose
+  minimum effective distance to the block's bounding box exceeds the
+  second-smallest *maximum* effective distance of any center to that box
+  can be neither the best nor the runner-up for any point in the box, so
+  dropping it cannot change assignments or bounds (the two centers
+  defining the threshold are always kept, making the rule
+  self-consistent).  Without static blocks (box pruning off, ``k <= 2`` or
+  an empty point set) every chunk evaluates all centers; for ``k <= 2``
+  the rule could drop none of them anyway.
 
 All sweep-invariant geometry (point norms, center norms, ``influence**-2``,
 static SFC block boxes, scratch buffers) lives in a
 :class:`~repro.core.kernels.SweepWorkspace` threaded through every call; the
 top-2 reduction itself runs in squared space (see
-:mod:`repro.geometry.distances`).  With box pruning on, chunks are aligned
-to the workspace's static blocks so the pruning rule reuses boxes computed
-once per run and box-to-center distances computed once per phase.
+:mod:`repro.geometry.distances`).  The pruning rule reuses block boxes
+computed once per run and box-to-center distances computed once per phase.
 
-Incremental engine (``config.use_incremental``, default on): the workspace's
+Incremental engine (on whenever ``config.use_bounds`` is): the workspace's
 per-sub-block bound aggregates certify whole sub-blocks unchanged without
 reading any per-point array, so the per-sweep active scan runs only inside
 woken sub-blocks (with an adaptive fallback to the global scan when the
@@ -29,15 +32,15 @@ trajectory is churning); each sweep additionally reports the per-cluster
 *weight delta* of the assignments it changed, so the caller can maintain
 the block weights incrementally instead of re-bincounting all ``n`` points
 every balance iteration, and the bound relaxations between iterations use
-the candidate-local (cluster-exact) forms via the workspace.  Every
-relaxation keeps the bounds *valid*, and every evaluation is exact, so
-assignments, influence, imbalance and block weights are identical to the
-full path; see :class:`~repro.core.config.BalancedKMeansConfig
-.use_incremental` for the exactness caveat on non-integer weights.
+the candidate-local forms via the workspace.  Every relaxation keeps the
+bounds *valid*, and every evaluation is exact, so assignments, influence,
+imbalance and block weights are identical to the ``use_bounds=False``
+sweep; see :class:`~repro.core.config.BalancedKMeansConfig` for the
+exactness caveat on non-integer weights.
 
 The balance loop itself — sweeps, the block-weight allreduce (line 31, the
-only communication in Algorithm 1; of the k-vector of deltas in
-incremental mode) and influence adaptation — is written once, for any rank
+only communication in Algorithm 1; of the k-vector of deltas when bounds
+are on) and influence adaptation — is written once, for any rank
 count, in :func:`repro.runtime.distributed_kmeans._kmeans_loop`; the serial
 :func:`~repro.core.balanced_kmeans.balanced_kmeans` runs it on one rank.
 The per-rank partial sums for the center update and erosion live here.
@@ -50,9 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import BalancedKMeansConfig
-from repro.core.kernels import SweepWorkspace, resolve_backend
-from repro.core.parallel import get_executor
-from repro.geometry.boxes import BoundingBox
+from repro.core.kernels import SweepWorkspace
+from repro.core.xp import resolve_kernel_backend
 
 __all__ = [
     "AssignStats",
@@ -129,7 +131,7 @@ class AssignStats:
 
     @property
     def block_skip_fraction(self) -> float:
-        """Fraction of static blocks certified unchanged without being scanned."""
+        """Fraction of aggregate sub-blocks certified unchanged without being scanned."""
         if self.blocks_total == 0:
             return 0.0
         return self.blocks_skipped / self.blocks_total
@@ -151,29 +153,6 @@ class AssignStats:
         self.blocks_total += other.blocks_total
         self.blocks_skipped += other.blocks_skipped
         self.points_changed += other.points_changed
-
-
-def _box_candidates(
-    chunk_points: np.ndarray, centers: np.ndarray, inv_influence_sq: np.ndarray
-) -> np.ndarray | None:
-    """Candidate center indices for a chunk, or ``None`` for "all centers".
-
-    Runs entirely in squared space (sqrt is monotone, so the §4.4 comparison
-    is unchanged); ``inv_influence_sq`` is the per-sweep cached
-    ``influence ** -2`` — callers convert influence once per sweep, not once
-    per chunk.
-    """
-    k = centers.shape[0]
-    if k <= 2:
-        return None
-    bb = BoundingBox.from_points(chunk_points)
-    min_eff = bb.min_sq_dist(centers) * inv_influence_sq
-    max_eff = bb.max_sq_dist(centers) * inv_influence_sq
-    threshold = np.partition(max_eff, 1)[1]  # second-smallest max_eff
-    cand = np.flatnonzero(min_eff <= threshold)
-    if cand.shape[0] >= k:
-        return None
-    return cand
 
 
 def _static_block_chunks(need: np.ndarray, workspace: SweepWorkspace) -> list[tuple[np.ndarray, int]]:
@@ -277,7 +256,7 @@ def assign_points(
             f"workspace was built for {workspace.points.shape} points, got {points.shape}"
         )
     else:
-        configured = resolve_backend(getattr(config, "kernel_backend", "numpy"))
+        configured = resolve_kernel_backend(getattr(config, "kernel_backend", "numpy"))
         if workspace.backend != configured:
             raise ValueError(
                 f"workspace was built for kernel backend {workspace.backend!r} but the "
@@ -327,11 +306,10 @@ def assign_points(
 
     # -- active-point selection ---------------------------------------------
     # In incremental mode with valid aggregates, the scan runs only inside
-    # woken sub-blocks: a sub-block whose max_ub < min_lb is certified
-    # unchanged without reading per-point arrays (pending relaxations are
-    # replayed for woken sub-blocks first).  The selected set is *identical*
-    # to the global flatnonzero(ub >= lb) — the aggregates are conservative
-    # by invariant.
+    # woken sub-blocks: a sub-block whose min(lb - ub) is positive is
+    # certified unchanged without reading per-point arrays.  The selected
+    # set is *identical* to the global flatnonzero(ub >= lb) — the
+    # aggregates are conservative by invariant.
     woken: np.ndarray | None = None
     selection = None
     if config.use_bounds:
@@ -360,8 +338,6 @@ def assign_points(
             workspace.maybe_refresh_all(assignment, ub, lb)
         return 0
 
-    inv_influence_sq = workspace.inv_influence_sq
-
     def process_chunk(task: tuple[np.ndarray, int]) -> tuple[int, np.ndarray | None, int]:
         chunk, block = task
         # contiguous chunks (the common case on cold sweeps) gather and
@@ -371,14 +347,12 @@ def assign_points(
         else:
             sel = chunk
         cpts = points[sel]
-        if not config.use_box_pruning:
-            cand = None
-        elif isinstance(block, np.ndarray):
+        if isinstance(block, np.ndarray):
             cand = block if block.shape[0] < k else None  # merged-chunk union set
         elif block >= 0:
             cand = workspace.block_candidates(block)
         else:
-            cand = _box_candidates(cpts, centers, inv_influence_sq)
+            cand = None
         old = assignment[sel].copy() if collect_delta else None
         assign, best, second = workspace.top2(cpts, sel, cand)
         assignment[sel] = assign
@@ -401,12 +375,7 @@ def assign_points(
             tasks = _merge_sparse_chunks(tasks, workspace, config.chunk_size)
     else:
         tasks = [(need[s : s + config.chunk_size], -1) for s in range(0, need.shape[0], config.chunk_size)]
-    executor = get_executor(config.n_threads) if len(tasks) > 1 else None
-    if executor is None:
-        results = [process_chunk(task) for task in tasks]
-    else:
-        # chunks touch disjoint index ranges, so concurrent writes are safe
-        results = list(executor.map(process_chunk, tasks))
+    results = [process_chunk(task) for task in tasks]
     if collect_delta:
         for _, delta_local, _ in results:
             if delta_local is not None:
@@ -419,7 +388,7 @@ def assign_points(
     if woken is not None:
         workspace.end_incremental_sweep(woken, ub, lb)
     elif workspace.incremental:
-        # first bounded sweep (or a sweep with bounds off): every per-point
-        # bound is now current, so seed all aggregates once
+        # a globally scanned sweep: every per-point bound is now current,
+        # so the (probe-throttled) aggregate seed can run
         workspace.maybe_refresh_all(assignment, ub, lb)
     return need_count

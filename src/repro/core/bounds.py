@@ -17,32 +17,26 @@ paper says it adapts — widens the gap: the upper bound grows by the own
 center's (effective) movement, the lower bound shrinks by the largest
 (effective) movement of any center.  We implement those directions.
 
-Cluster-exact (per-point-exclusive) forms.  The plain relaxations shrink
-every point's runner-up bound by the *global* worst case — ``lb *=
-ratio.min()`` / ``lb -= eff_delta.max()`` — so an influence change or center
-move in one region invalidates bounds everywhere.  But the runner-up of
-``p`` is by definition a center ``c != a(p)``, so the worst case only needs
-to range over the *other* clusters: a top-2 over the per-cluster factors
-yields, for each point, the exact exclusive extremum (the global extremum,
-or the second one when the extremal cluster is the point's own).  The
-``*_exclusive`` variants implement that; they keep strictly tighter bounds
-at the cost of one ``O(n)`` ``where`` and never change results (bounds only
-gate which points are re-evaluated).  All four functions return the factors
-a caller needs to adjust block-level bound aggregates analytically (see
-:class:`repro.core.kernels.SweepWorkspace`).
+Cluster-exact relaxations.  The classic Hamerly relaxation shrinks every
+point's runner-up bound by the *global* worst case (``lb *= ratio.min()`` /
+``lb -= eff_delta.max()``), so an influence change or center move in one
+region invalidates bounds everywhere.  But the runner-up of ``p`` is by
+definition a center ``c != a(p)``, so the worst case only needs to range
+over the *other* clusters: a top-2 over the per-cluster factors yields, for
+each point, the exact exclusive extremum (the global extremum, or the
+second one when the extremal cluster is the point's own).  Both functions
+below use that form; it costs one ``O(n)`` ``where`` and never changes
+results (bounds only gate which points are re-evaluated).  They run where
+the sweep workspace has no static SFC blocks to relax over (see
+:meth:`repro.core.kernels.SweepWorkspace.queue_relax_influence`, which
+narrows the worst case further, to each block's §4.4 candidates).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "init_bounds",
-    "relax_for_movement",
-    "relax_for_influence",
-    "relax_for_movement_exclusive",
-    "relax_for_influence_exclusive",
-]
+__all__ = ["init_bounds", "relax_for_movement", "relax_for_influence"]
 
 
 def init_bounds(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,33 +75,16 @@ def relax_for_movement(
     assignment: np.ndarray,
     deltas: np.ndarray,
     influence: np.ndarray,
-) -> tuple[float, float]:
+) -> None:
     """Relax bounds in place after centers moved by ``deltas`` (Eq. 4-5, fixed signs).
 
     A center move of ``delta(c)`` changes any point's distance to ``c`` by at
     most ``delta(c)``, hence its *effective* distance by at most
-    ``delta(c) / influence(c)``.  Returns ``(max own-bound growth, max
-    runner-up shrink)`` — the scalars a block-aggregate maintainer needs.
-    """
-    eff_delta = _eff_deltas(deltas, influence)
-    worst = float(eff_delta.max())
-    ub += eff_delta[assignment]
-    lb -= worst
-    np.maximum(lb, 0.0, out=lb)
-    return worst, worst
-
-
-def relax_for_movement_exclusive(
-    ub: np.ndarray,
-    lb: np.ndarray,
-    assignment: np.ndarray,
-    deltas: np.ndarray,
-    influence: np.ndarray,
-) -> tuple[float, float]:
-    """Cluster-exact :func:`relax_for_movement`: each point's runner-up bound
-    shrinks by the largest effective movement over centers *other than its
-    own* (top-2 over the per-cluster movements), so a relocation in one
-    region stops invalidating bounds everywhere else.
+    ``delta(c) / influence(c)``.  The own-center bound grows by its center's
+    effective movement; the runner-up bound shrinks by the largest effective
+    movement over centers *other than its own* (top-2 over the per-cluster
+    movements), so a relocation in one region stops invalidating bounds
+    everywhere else.
     """
     eff_delta = _eff_deltas(deltas, influence)
     j, hi, hi2 = _bottom2(-eff_delta)
@@ -115,7 +92,6 @@ def relax_for_movement_exclusive(
     ub += eff_delta[assignment]
     lb -= np.where(assignment == j, hi2, hi)
     np.maximum(lb, 0.0, out=lb)
-    return hi, hi
 
 
 def relax_for_influence(
@@ -124,34 +100,15 @@ def relax_for_influence(
     assignment: np.ndarray,
     old_influence: np.ndarray,
     new_influence: np.ndarray,
-) -> tuple[float, float]:
+) -> None:
     """Rescale bounds in place after influence values changed.
 
     Effective distances transform exactly: ``eff_new(c) = eff_old(c) * I_old(c)/I_new(c)``.
     The own-center bound rescales exactly; the runner-up bound is multiplied
-    by the *smallest* ratio over all centers, which keeps it a valid lower
-    bound regardless of which center is the runner-up.  Returns ``(max
-    ratio, min ratio)`` for block-aggregate maintenance.
-    """
-    ratio = _influence_ratio(old_influence, new_influence)
-    lo = float(ratio.min())
-    hi = float(ratio.max())
-    ub *= ratio[assignment]
-    lb *= lo
-    return hi, lo
-
-
-def relax_for_influence_exclusive(
-    ub: np.ndarray,
-    lb: np.ndarray,
-    assignment: np.ndarray,
-    old_influence: np.ndarray,
-    new_influence: np.ndarray,
-) -> tuple[float, float]:
-    """Cluster-exact :func:`relax_for_influence`: each point's runner-up
-    bound is multiplied by the smallest ratio over centers *other than its
-    own* (top-2 over the per-cluster ratios), keeping bounds tight when only
-    one cluster's influence dropped sharply.
+    by the smallest ratio over centers *other than its own* (top-2 over the
+    per-cluster ratios), which keeps it a valid lower bound whichever of
+    those centers is the runner-up, and keeps bounds tight when only one
+    cluster's influence dropped sharply.
     """
     ratio = _influence_ratio(old_influence, new_influence)
     j, lo, lo2 = _bottom2(ratio)
@@ -159,4 +116,3 @@ def relax_for_influence_exclusive(
         lo2 = 1.0
     ub *= ratio[assignment]
     lb *= np.where(assignment == j, lo2, lo)
-    return float(ratio.max()), lo

@@ -3,8 +3,8 @@
 Defaults follow the paper: epsilon = 3 % (§5.2.5), influence change capped at
 5 % per balance step (§4.2), Hamerly bounds and bounding-box pruning on
 (§4.3-4.4), sampled initialisation starting from 100 points per process
-(§4.5), SFC seeding (Algorithm 2).  Every optimisation has an off-switch so
-the ablation benchmarks can isolate its effect.
+(§4.5), SFC seeding (Algorithm 2).  Each of the paper's optimisations has an
+off-switch so the ablation benchmarks can isolate its effect.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 
 from repro.core.xp import kernel_backend_names
+from repro.sfc.curves import CURVE_NAMES
 
 __all__ = ["BalancedKMeansConfig"]
 
@@ -38,9 +39,22 @@ class BalancedKMeansConfig:
         Convergence threshold for the maximum center movement, relative to
         the bounding-box diagonal.
     use_bounds / use_box_pruning / use_erosion / use_sampling:
-        Toggles for the geometric optimisations (§4.3-4.5); disabling any of
-        them must not change results except sampling (which alters the
-        center trajectory), only speed.
+        Toggles for the geometric optimisations (§4.3-4.5).  Bounds and box
+        pruning are exact: with integer-valued weights (including the
+        default unit weights) disabling either changes no result, only
+        speed.  Erosion and sampling alter the center trajectory, so
+        disabling them changes results.  The incremental sweep engine
+        (:mod:`repro.core.kernels`) has no switch of its own:
+        ``use_bounds=False`` turns it off together with the bounds, and the
+        block weights are then recomputed with a full ``bincount`` every
+        balance iteration instead of maintained from per-sweep assignment
+        deltas.  Its block filter and candidate-local relaxations also need
+        the static SFC blocks (``use_box_pruning`` and ``k > 2``).  With
+        non-integer weights the delta sums associate differently from that
+        ``bincount`` (and from each other when pruning changes the sweep's
+        chunks), so ``imbalance`` can differ in the last ulp; this is
+        deterministic and backend-identical but may steer the influence
+        trajectory to an equally valid partition.
     seeding:
         ``"sfc"`` (paper default), ``"random"``, or ``"kmeans++"``.
     chunk_size:
@@ -52,28 +66,6 @@ class BalancedKMeansConfig:
         2048 x 64 doubles = 1 MiB per buffer) while giving the §4.4 rule
         tight boxes — measured ~2x faster end-to-end than 8192 on the
         ``n=200k, k=64`` trajectory workload.
-    n_threads:
-        Shared-memory workers for the assignment sweep: 1 = serial
-        (default), 0 = one per core, n = exactly n threads.  Results are
-        identical to serial; only wall-clock changes.
-    use_incremental:
-        Incremental sweep engine (on by default): per-static-block bound
-        aggregates certify whole blocks unchanged in ``O(n/B)`` so the
-        per-sweep active-point scan never touches skipped blocks, block
-        weights are maintained from per-sweep assignment *deltas* instead of
-        a full ``bincount`` every balance iteration, and bound relaxations
-        use the per-point-exclusive (cluster-exact) forms.  With
-        integer-valued weights (including the default unit weights) every
-        result — assignments, centers, influence, imbalance and the
-        delta-maintained block weights — is bit-identical to the full
-        (``use_incremental=False``) path; arbitrary float weights can
-        differ in the last ulp (the delta sum associates differently),
-        which is deterministic and backend-identical but may steer the
-        influence trajectory to an equally valid partition.  The
-        delta-maintained block weights need only ``use_bounds``; the block
-        filter and the candidate-local relaxations also need the static SFC
-        blocks (``use_box_pruning`` and ``k > 2``) and are silently inert
-        without them.
     incremental_block_size:
         Granularity (points) of the incremental engine's bound aggregates.
         Finer sub-blocks certify more aggressively — a sub-block is skipped
@@ -114,32 +106,36 @@ class BalancedKMeansConfig:
     sfc_curve: str = "hilbert"
     sfc_bits: int | None = None
     chunk_size: int = 2048
-    n_threads: int = 1
-    use_incremental: bool = True
     incremental_block_size: int = 256
     kernel_backend: str = "numpy"
     influence_floor: float = 1e-9
     influence_ceil: float = 1e9
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
+        # written as "not (valid)" so NaN, which fails every comparison, is rejected
+        if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.max_iterations < 1 or self.max_balance_iterations < 1:
-            raise ValueError("iteration limits must be >= 1")
+            raise ValueError(
+                "max_iterations and max_balance_iterations must be >= 1, got "
+                f"{self.max_iterations} and {self.max_balance_iterations}"
+            )
         if not (0.0 < self.influence_change_cap < 1.0):
             raise ValueError(f"influence_change_cap must be in (0, 1), got {self.influence_change_cap}")
-        if self.delta_threshold_rel <= 0:
-            raise ValueError("delta_threshold_rel must be positive")
+        if not self.delta_threshold_rel > 0:
+            raise ValueError(f"delta_threshold_rel must be positive, got {self.delta_threshold_rel}")
         if self.seeding not in ("sfc", "random", "kmeans++"):
             raise ValueError(f"unknown seeding {self.seeding!r}")
+        if self.sfc_curve not in CURVE_NAMES:
+            raise ValueError(f"unknown sfc_curve {self.sfc_curve!r}; choose from {', '.join(CURVE_NAMES)}")
+        if self.sfc_bits is not None and self.sfc_bits < 1:
+            raise ValueError(f"sfc_bits must be >= 1 or None, got {self.sfc_bits}")
         if self.initial_sample_size < 1:
             raise ValueError("initial_sample_size must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if self.incremental_block_size < 1:
             raise ValueError("incremental_block_size must be >= 1")
-        if self.n_threads < 0:
-            raise ValueError("n_threads must be >= 0 (0 = one per core)")
         if self.kernel_backend not in kernel_backend_names():
             raise ValueError(
                 f"unknown kernel_backend {self.kernel_backend!r}; "

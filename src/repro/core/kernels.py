@@ -12,7 +12,7 @@ run:
 - ``influence ** -2`` and the box-pruning candidate sets only change once
   per sweep (not per chunk);
 - the ``(chunk, k)`` distance scratch can be preallocated once and reused
-  via ``out=`` kwargs (per worker thread, since chunks may run in a pool).
+  via ``out=`` kwargs.
 
 :class:`SweepWorkspace` owns all of that cached state and threads it through
 :func:`repro.core.assign.assign_points`; the actual top-2 reduction runs in
@@ -52,8 +52,8 @@ sets by rescaling those ranges with the current ``influence ** -2`` — a
 ``(nblocks, k)`` elementwise pass — instead of re-deriving boxes from raw
 points for every chunk of every sweep.
 
-Incremental sweep engine (``config.use_incremental``): three cooperating
-pieces on top of the static blocks.
+Incremental sweep engine (on whenever ``config.use_bounds`` is): three
+cooperating pieces on top of the static blocks.
 
 1. *Candidate-local relaxations* — the big lever.  Between balance
    iterations the classic Hamerly relaxation shrinks every point's
@@ -66,8 +66,10 @@ pieces on top of the static blocks.
    non-candidate center provably sits farther than ``sqrt`` of the block's
    pruning threshold, and the floor composes across influence/movement ops.
    Influence or movement changes in one region then stop invalidating
-   bounds everywhere (2-3x fewer point evaluations on the trajectory
-   workload, see BENCH_balance.json).
+   bounds everywhere (about 3x fewer point evaluations than the
+   global-factor relaxation on the balance-bench trajectory).  Each
+   relaxation applies eagerly to every point and adjusts the sub-block
+   aggregates below analytically.
 
 2. *Sub-block certification* — per fixed-size sub-block
    (``incremental_block_size`` points) the workspace keeps the smallest
@@ -92,7 +94,6 @@ accumulation — is fused into one ``prange`` kernel.
 
 from __future__ import annotations
 
-import threading
 import weakref
 
 import numpy as np
@@ -103,7 +104,7 @@ from repro.core.xp import HAVE_NUMBA
 from repro.geometry.boxes import block_bounds, blocks_min_max_sq
 from repro.geometry.distances import top2_effective
 
-__all__ = ["HAVE_NUMBA", "resolve_backend", "SweepWorkspace"]
+__all__ = ["HAVE_NUMBA", "SweepWorkspace"]
 
 # when at least this fraction of sub-blocks wakes for a sweep, the per-region
 # select/refresh machinery costs more than it saves: the filter parks itself
@@ -126,17 +127,6 @@ def _multi_arange(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 _NUMBA_KERNEL = None
 _NUMBA_SWEEP_KERNEL = None
-
-
-def resolve_backend(name: str) -> str:
-    """Resolve a configured backend name to an available one.
-
-    Thin alias for :func:`repro.core.xp.resolve_kernel_backend` (kept for
-    backward compatibility): honours the ``REPRO_KERNEL_BACKEND`` override
-    and degrades unavailable backends along their registered fallback chain
-    with a one-time warning, so configs are portable across environments.
-    """
-    return _xp.resolve_kernel_backend(name)
 
 
 def _get_numba_kernel():
@@ -196,10 +186,10 @@ def _get_numba_sweep_kernel():
     One ``prange`` over static blocks fuses the per-point Hamerly filter,
     the masked top-2, the bound writes, the per-block weight-delta rows and
     the post-sweep block-aggregate refresh — no Python chunk orchestration,
-    no thread-pool dispatch, no ``(chunk, k)`` temporaries.  Inner loops
-    mirror :func:`_get_numba_kernel`'s accumulation order exactly (ascending
-    center index), so per-point results are bit-identical to the chunked
-    numba path.
+    no ``(chunk, k)`` temporaries.  Inner loops mirror
+    :func:`_get_numba_kernel`'s accumulation order exactly (ascending center
+    index), so per-point results are bit-identical to the chunked numba
+    path.
     """
     global _NUMBA_SWEEP_KERNEL
     if _NUMBA_SWEEP_KERNEL is None:  # pragma: no cover - requires numba
@@ -299,7 +289,7 @@ class SweepWorkspace:
     min/max squared ranges      array changes (checked by identity)
     ``inv_influence_sq``,       every :meth:`prepare` call (per sweep)
     pruning candidate sets
-    scratch buffers             never (allocated lazily per worker thread)
+    scratch buffers             never (allocated lazily on first use)
     ==========================  =========================================
 
     Center changes are detected by object identity, so callers that mutate a
@@ -324,11 +314,11 @@ class SweepWorkspace:
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         self.k = int(k)
         self.config = config
-        self.backend = resolve_backend(getattr(config, "kernel_backend", "numpy"))
+        self.backend = _xp.resolve_kernel_backend(getattr(config, "kernel_backend", "numpy"))
         self.device_mode = _xp.kernel_backend_spec(self.backend).device
         self.xp = _xp.get_namespace(self.backend)
         self.points_sq = self.xp.einsum("ij,ij->i", self.points, self.points)
-        self._tls = threading.local()
+        self._bufs: tuple[np.ndarray, np.ndarray] | None = None
         self._centers_ref: np.ndarray | None = None
         self.centers: np.ndarray | None = None
         self.centers_sq: np.ndarray | None = None
@@ -376,19 +366,15 @@ class SweepWorkspace:
         self._block_cand_cache: dict[int, np.ndarray | None] = {}
         self._block_floor: np.ndarray | None = None
         # incremental engine: per-sub-block bound aggregates (valid only
-        # after a full refresh) plus the pending-relaxation journal.  A
-        # sub-block whose smallest per-point bound gap ``min(lb - ub)`` is
-        # positive provably contains only filter-certified points and is
-        # skipped whole; ``max_ub`` rides along so relaxations can adjust
-        # the gap analytically.  The journal holds bound relaxations applied
-        # analytically to the aggregates but not yet to per-point arrays of
-        # skipped sub-blocks; they are replayed — in order — when a
-        # sub-block wakes up.
+        # after a full refresh).  A sub-block whose smallest per-point bound
+        # gap ``min(lb - ub)`` is positive provably contains only
+        # filter-certified points and is skipped whole; ``max_ub`` rides
+        # along so relaxations, which apply eagerly to every point, can
+        # adjust the gap analytically.
         self.incremental = bool(
             self.has_static_blocks
             and not ephemeral
             and not self.device_mode  # sub-block filter is host-side bookkeeping
-            and getattr(config, "use_incremental", False)
             and getattr(config, "use_bounds", True)
         )
         self.sub_min_gap: np.ndarray | None = None
@@ -425,7 +411,7 @@ class SweepWorkspace:
     #: same session.
     _CONFIG_FIELDS = (
         "kernel_backend", "chunk_size", "use_box_pruning",
-        "incremental_block_size", "use_incremental", "use_bounds",
+        "incremental_block_size", "use_bounds",
     )
 
     def _config_signature(self, config) -> tuple:
@@ -498,10 +484,10 @@ class SweepWorkspace:
             # per-block certainty radius for the incremental engine: every
             # non-candidate center c of block b satisfies eff(p, c) > T_b
             # for all p in the block (min_eff(c, box) > threshold in squared
-            # space), so queued relaxations only need the worst case over
-            # the block's own candidates plus a T_b-based floor for
-            # everything else.  The floor chains through queued ops (see
-            # queue_relax_*) and resets here, at every sweep.
+            # space), so relaxations only need the worst case over the
+            # block's own candidates plus a T_b-based floor for everything
+            # else.  The floor chains through the relaxations between two
+            # sweeps (see queue_relax_*) and resets here, at every sweep.
             self._block_floor = np.sqrt(threshold)
 
     # -- pruning ------------------------------------------------------------
@@ -521,7 +507,7 @@ class SweepWorkspace:
             self._block_cand_cache[block] = cached
         return cached
 
-    # -- incremental sub-block bound aggregates + relaxation journal --------
+    # -- incremental sub-block bound aggregates + relaxations ---------------
 
     @property
     def aggregates_valid(self) -> bool:
@@ -640,8 +626,9 @@ class SweepWorkspace:
         bounds everywhere, which is what keeps quiet regions skippable.
         Aggregates (when valid) adjust analytically in ``O(n_subs)``; the
         per-point update applies in one contiguous vectorised pass.
-        Returns False when the candidate geometry is unavailable (no sweep
-        has run yet); callers must then relax with the global-factor forms.
+        Returns False when the engine is off or the candidate geometry is
+        unavailable (no sweep has run yet); callers must then relax with
+        :func:`repro.core.bounds.relax_for_influence`.
         """
         if not self.incremental or self._block_cand_mask is None or self._block_floor is None:
             return False
@@ -657,7 +644,7 @@ class SweepWorkspace:
         # unused, so scale by 1 to avoid a spurious 0 * inf)
         self._block_floor = self._block_floor * np.where(np.isfinite(g_b), g_b, 1.0)
         floor_b = np.where(np.isfinite(g_b), self._block_floor, np.inf)
-        # replay table: factor for a point in block b assigned to cluster c
+        # factor table: factor for a point in block b assigned to cluster c
         # = min ratio over cand(b) \ {c} (the own cluster never bounds its
         # own runner-up)
         table = np.broadcast_to(lo_b[:, None], mask.shape).copy()
@@ -685,12 +672,14 @@ class SweepWorkspace:
         deltas: np.ndarray,
         influence: np.ndarray,
     ) -> bool:
-        """Queue a candidate-local center-movement relaxation (lazy form).
+        """Apply a candidate-local center-movement relaxation.
 
         Mirrors :meth:`queue_relax_influence`: the runner-up bound shrinks
         by the largest effective movement over the block's candidates other
         than the point's own cluster, capped by the chained non-candidate
-        floor minus the largest non-candidate movement.
+        floor minus the largest non-candidate movement.  Returns False
+        (callers then use :func:`repro.core.bounds.relax_for_movement`)
+        under the same conditions.
         """
         if not self.incremental or self._block_cand_mask is None or self._block_floor is None:
             return False
@@ -716,31 +705,13 @@ class SweepWorkspace:
         self._apply_relax("move", eff_delta, table, floor_b, assignment, ub, lb)
         return True
 
-    def note_influence_relax(self, ratio_max: float, ratio_min: float) -> None:
-        """Adjust aggregates analytically after an *eager* influence relaxation.
-
-        Per point, ``ub *= ratio[a(p)] <= ratio_max`` and ``lb`` is
-        multiplied by a factor ``>= ratio_min`` (exact or exclusive form),
-        so scaling the aggregates by the extremes keeps them conservative.
-        """
-        if self.incremental and self.aggregates_valid:
-            # gap' >= min_ratio*gap_min - (max_ratio - min_ratio)*max_ub
-            self.sub_min_gap = self.sub_min_gap * ratio_min - (ratio_max - ratio_min) * self.sub_max_ub
-            self.sub_max_ub = self.sub_max_ub * ratio_max
-
-    def note_movement_relax(self, ub_growth: float, lb_shrink: float) -> None:
-        """Adjust aggregates analytically after an *eager* movement relaxation."""
-        if self.incremental and self.aggregates_valid:
-            self.sub_min_gap -= ub_growth + lb_shrink
-            self.sub_max_ub = self.sub_max_ub + ub_growth
-
     def invalidate_block_bounds(self) -> None:
-        """Forget aggregates and drop pending relaxations.
+        """Forget the sub-block aggregates.
 
         For callers that overwrite ``ub``/``lb`` wholesale (bound reset,
-        empty-cluster reseed).  Dropping un-replayed ops leaves skipped
-        points' ``lb`` too large, so the caller *must* reset ``lb`` (both
-        existing callers zero or reinitialise it).
+        empty-cluster reseed, warm workspace reuse): the aggregates no
+        longer describe the bounds, so the next sweep scans globally and
+        re-seeds them.
         """
         self.sub_min_gap = None
         self.sub_max_ub = None
@@ -753,10 +724,10 @@ class SweepWorkspace:
 
         Returns ``(need, woken)`` — the indices needing evaluation and the
         woken sub-block ids — or ``None`` when the aggregates are invalid
-        (caller falls back to the global scan).  Pending relaxations are
-        replayed for woken sub-blocks first, so the per-point test sees
-        exactly the values the eager path would have; the resulting ``need``
-        set is identical to the global ``flatnonzero(ub >= lb)``.
+        (caller falls back to the global scan).  Relaxations apply eagerly
+        to every point and the aggregates are conservative, so the
+        resulting ``need`` set is identical to the global
+        ``flatnonzero(ub >= lb)``.
         """
         if not self.incremental or not self.aggregates_valid:
             return None
@@ -770,8 +741,8 @@ class SweepWorkspace:
             # wake-heavy sweep: the filter cannot pay for itself — scan
             # globally, drop the aggregates, and let the periodic probe in
             # maybe_refresh_all notice when the trajectory goes quiet.
-            # (Relaxations are applied eagerly, so per-point bounds are
-            # always current and nothing needs replaying.)
+            # (Relaxations apply eagerly, so per-point bounds are always
+            # current.)
             self.sub_min_gap = None
             self.sub_max_ub = None
             self._bound_token = None
@@ -781,7 +752,7 @@ class SweepWorkspace:
         return need, woken
 
     def end_incremental_sweep(self, woken: np.ndarray, ub: np.ndarray, lb: np.ndarray) -> None:
-        """Refresh the woken sub-blocks' aggregates and compact the journal."""
+        """Refresh the woken sub-blocks' aggregates from their swept bounds."""
         if woken.size == self.n_subs:
             self.sub_min_gap = np.minimum.reduceat(lb - ub, self.sub_starts)
             self.sub_max_ub = np.maximum.reduceat(ub, self.sub_starts)
@@ -796,15 +767,13 @@ class SweepWorkspace:
     # -- kernels ------------------------------------------------------------
 
     def _scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-thread ``(chunk_size, k)`` scratch (chunks may run in a pool)."""
-        bufs = getattr(self._tls, "bufs", None)
-        if bufs is None:
-            bufs = (
+        """The ``(chunk_size, k)`` distance scratch, allocated on first use."""
+        if self._bufs is None:
+            self._bufs = (
                 np.empty((self.block_size, self.k)),
                 np.empty((self.block_size, self.k)),
             )
-            self._tls.bufs = bufs
-        return bufs
+        return self._bufs
 
     def top2(
         self,
@@ -860,10 +829,10 @@ class SweepWorkspace:
     ) -> tuple[int, int, np.ndarray | None, int, int, int]:
         """One whole sweep in the fused numba kernel (sub-block layout).
 
-        Replays pending relaxations for woken sub-blocks, then runs one
-        ``prange`` kernel that fuses the per-point filter, masked top-2,
-        bound writes, per-sub-block weight-delta rows and the aggregate
-        refresh.  Returns ``(evaluated, center_evals, delta, changed,
+        Runs one ``prange`` kernel over the woken sub-blocks (all of them
+        when the aggregates are invalid or most sub-blocks wake) that fuses
+        the per-point filter, masked top-2, bound writes, per-sub-block
+        weight-delta rows and the aggregate refresh.  Returns ``(evaluated, center_evals, delta, changed,
         subs_active, subs_total)`` where ``delta`` is the per-cluster weight
         delta of the changed assignments (``None`` unless ``weights`` is
         given), summed over sub-blocks in index order.
@@ -965,11 +934,9 @@ class SweepWorkspace:
         """Per-cluster weight sums on device (k-sized download)."""
         return self._engine.block_weights(assignment, weights)
 
-    def device_relax_influence(
-        self, old_influence: np.ndarray, new_influence: np.ndarray
-    ) -> tuple[float, float]:
+    def device_relax_influence(self, old_influence: np.ndarray, new_influence: np.ndarray) -> None:
         """Influence relaxation applied to the session's device tensors."""
-        return self._engine.relax_influence(old_influence, new_influence)
+        self._engine.relax_influence(old_influence, new_influence)
 
     def transfer_stats(self) -> dict | None:
         """Host↔device transfer accounting (``None`` on host backends)."""

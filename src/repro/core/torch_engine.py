@@ -337,22 +337,20 @@ class TorchSweepEngine:
             out.index_add_(0, d_assign, d_w)
         return self._d2h(out, "sweep")
 
-    def relax_influence(
-        self, old_influence: np.ndarray, new_influence: np.ndarray
-    ) -> tuple[float, float]:
-        """:func:`repro.core.bounds.relax_for_influence` on the session tensors.
+    def relax_influence(self, old_influence: np.ndarray, new_influence: np.ndarray) -> None:
+        """Influence relaxation of the session tensors, in the global-factor form.
 
-        Same math, same order of operations — the ratio is computed on the
-        host (k-sized) and applied on device, so host and device trajectories
-        stay elementwise identical.
+        The own-center bound rescales exactly, as in
+        :func:`repro.core.bounds.relax_for_influence`, but every runner-up
+        bound is multiplied by the smallest ratio over *all* centers, not
+        over the centers other than the point's own: a looser bound that
+        needs no per-point ``where`` on the device.  The ratio is computed
+        on the host (k-sized) and applied on device.
         """
         if self._session is None:
             raise RuntimeError("relax_influence requires an active device session")
         ratio = _influence_ratio(old_influence, new_influence)
-        lo = float(ratio.min())
-        hi = float(ratio.max())
         if self.n:
             d_ratio = self._h2d(ratio, "sweep")
             self.d_ub *= d_ratio.index_select(0, self.d_assign)
-            self.d_lb *= lo
-        return hi, lo
+            self.d_lb *= float(ratio.min())

@@ -53,13 +53,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.core.assign import AssignStats, assign_points, center_partial_sums, diameter_partial_sums
-from repro.core.bounds import (
-    init_bounds,
-    relax_for_influence,
-    relax_for_influence_exclusive,
-    relax_for_movement,
-    relax_for_movement_exclusive,
-)
+from repro.core.bounds import init_bounds, relax_for_influence, relax_for_movement
 from repro.core.config import BalancedKMeansConfig
 from repro.core.influence import adapt_influence, erode_influence
 from repro.core.kernels import SweepWorkspace
@@ -277,14 +271,14 @@ def _split_blocks(n: int, p: int) -> list[np.ndarray]:
     return [np.arange(bounds[r], bounds[r + 1], dtype=np.int64) for r in range(p)]
 
 
-def _relax_influence_local(ub, lb, assignment, old_influence, new_influence, workspace, cfg) -> None:
-    """Rank-local influence relaxation (exclusive form in incremental mode).
+def _relax_influence_local(ub, lb, assignment, old_influence, new_influence, workspace) -> None:
+    """Rank-local influence relaxation.
 
-    Module-level so the rank closure ships cleanly to worker processes;
-    notifies the rank's persistent workspace (driver-resident backends only —
-    worker ranks rebuild ephemeral workspaces and pass ``None``).  Inside a
-    device session the bounds live on the device, so the relaxation runs
-    there.
+    Module-level so the rank closure ships cleanly to worker processes.  A
+    rank's persistent workspace (driver-resident backends only — worker
+    ranks rebuild ephemeral workspaces and pass ``None``) relaxes per static
+    block; inside a device session the bounds live on the device, so the
+    relaxation runs there.  Everything else takes the cluster-exact form.
     """
     if workspace is not None:
         if workspace.in_device_session:
@@ -292,20 +286,14 @@ def _relax_influence_local(ub, lb, assignment, old_influence, new_influence, wor
             return
         if workspace.queue_relax_influence(assignment, ub, lb, old_influence, new_influence):
             return
-    relax = relax_for_influence_exclusive if cfg.use_incremental else relax_for_influence
-    ratio_max, ratio_min = relax(ub, lb, assignment, old_influence, new_influence)
-    if workspace is not None:
-        workspace.note_influence_relax(ratio_max, ratio_min)
+    relax_for_influence(ub, lb, assignment, old_influence, new_influence)
 
 
-def _relax_movement_local(ub, lb, assignment, deltas, influence, workspace, cfg) -> None:
-    """Rank-local movement relaxation (exclusive form in incremental mode)."""
+def _relax_movement_local(ub, lb, assignment, deltas, influence, workspace) -> None:
+    """Rank-local movement relaxation (see :func:`_relax_influence_local`)."""
     if workspace is not None and workspace.queue_relax_movement(assignment, ub, lb, deltas, influence):
         return
-    relax = relax_for_movement_exclusive if cfg.use_incremental else relax_for_movement
-    growth, shrink = relax(ub, lb, assignment, deltas, influence)
-    if workspace is not None:
-        workspace.note_movement_relax(growth, shrink)
+    relax_for_movement(ub, lb, assignment, deltas, influence)
 
 
 def _fresh_state(storage, prefix: str, sizes) -> tuple[list, list, list]:
@@ -690,14 +678,12 @@ def _kmeans_loop(
     sample_perms = [storage.stash("perm", r, rank_rngs[r].permutation(int(counts[r])))
                     for r in range(p)] if sample_sizes else []
 
-    incremental = bool(cfg.use_incremental and cfg.use_bounds)
-
     def relax(steps, s_assign, s_ub, s_lb, s_workspaces) -> None:
         """One superstep applying bounds relaxations ``fn(ub, lb, a, *args, ...)`` in order."""
 
         def turn(r: int, a, upper, lower) -> None:
             for fn, args in steps:
-                fn(upper, lower, a, *args, s_workspaces[r], cfg)
+                fn(upper, lower, a, *args, s_workspaces[r])
 
         comm.run_local(storage.local(turn, read=(s_assign,), write=(s_ub, s_lb)))
 
@@ -705,11 +691,12 @@ def _kmeans_loop(
         """Algorithm 1: sweeps, block-weight allreduce, influence adaptation.
 
         Returns ``(block weights, imbalance, balanced, balance iterations,
-        sweep statistics)``.  In incremental mode the global block weights
-        are maintained from the allreduced k-vector of per-rank assignment
+        sweep statistics)``.  With bounds on, the global block weights are
+        maintained from the allreduced k-vector of per-rank assignment
         *deltas* (bit-identical across backends via the shared combine
         kernels) — one full bincount reduction seeds the phase unless
-        ``block_w0`` carries the previous phase's weights in.
+        ``block_w0`` carries the previous phase's weights in.  With bounds
+        off (the §4.3 ablation) every iteration reduces a fresh bincount.
 
         A driver-resident device workspace runs the phase in one device
         session: its assignment and bounds upload once here and download once
@@ -720,7 +707,7 @@ def _kmeans_loop(
         nonlocal influence
         state = dict(read=(s_pts, s_w), write=(s_assign, s_ub, s_lb))
         stats = [None if ws is None else AssignStats() for ws in s_workspaces]
-        block_w = np.array(block_w0, dtype=np.float64, copy=True) if (incremental and block_w0 is not None) else None
+        block_w = np.array(block_w0, dtype=np.float64, copy=True) if (cfg.use_bounds and block_w0 is not None) else None
         balanced = False
         sessions = [r for r, ws in enumerate(s_workspaces) if ws is not None and ws.device_mode]
         for r in sessions:
@@ -763,7 +750,7 @@ def _kmeans_loop(
                 if cfg.use_bounds:
                     relax([(_relax_influence_local, (old_influence, influence))],
                           s_assign, s_ub, s_lb, s_workspaces)
-                if not incremental:
+                else:
                     block_w = None  # force a fresh bincount reduction next iteration
         finally:
             for r in sessions:
@@ -841,13 +828,13 @@ def _kmeans_loop(
     start_it = 0
     if resuming:
         # Re-enter the loop exactly where the checkpoint was cut: iteration
-        # counting, convergence bookkeeping, and (in incremental mode) the
+        # counting, convergence bookkeeping, and (with bounds on) the
         # carried block weights all continue as if never interrupted.
         start_it = int(meta["iteration"])
         iterations = start_it
         block_w = np.array(arrays["block_w"], dtype=np.float64, copy=True)
         final_imbalance = float((block_w / targets).max() - 1.0)
-        if incremental:
+        if cfg.use_bounds:
             prev_block_w = block_w
     for it in range(start_it, cfg.max_iterations):
         iterations = it + 1
@@ -855,9 +842,9 @@ def _kmeans_loop(
             block_w, final_imbalance, balanced, its, stats = balance(
                 local_pts, local_w, assignment, ub, lb, workspaces, targets, prev_block_w)
         # assignments are untouched after the phase's last sweep, so its
-        # block weights are the global ones; in incremental mode the next
-        # phase seeds from them instead of a full bincount reduction
-        prev_block_w = block_w if incremental else None
+        # block weights are the global ones; with bounds on the next phase
+        # seeds from them instead of a full bincount reduction
+        prev_block_w = block_w if cfg.use_bounds else None
         centers = centers.copy()  # relocation writes in place; sweeps cache centers by identity
         if _relocate_empty_blocks(comm, storage, local_pts, local_w, assignment,
                                   centers, influence, block_w, gen):

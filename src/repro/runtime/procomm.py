@@ -34,8 +34,7 @@ protocol with one long-lived worker *process* per rank:
   collectives charge their measured driver-side time.
 
 Lifecycle: workers are started in ``__init__`` and torn down by
-:meth:`ProcessComm.close` (idempotent; also a context manager, mirroring
-the LRU/atexit pattern of :mod:`repro.core.parallel`).  An ``atexit`` hook
+:meth:`ProcessComm.close` (idempotent; also a context manager).  An ``atexit`` hook
 closes every communicator still alive at interpreter shutdown, joining the
 workers and unlinking all shared-memory segments, so crashes and test
 failures do not leak ``/dev/shm`` blocks or zombie processes.

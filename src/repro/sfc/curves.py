@@ -8,12 +8,14 @@ from repro.sfc.hilbert import hilbert_index
 from repro.sfc.morton import morton_index
 from repro.util.validation import check_points
 
-__all__ = ["normalize_to_cells", "sfc_index", "DEFAULT_BITS"]
+__all__ = ["normalize_to_cells", "sfc_index", "CURVE_NAMES", "DEFAULT_BITS"]
 
 # bits*d <= 62; these defaults give ample resolution for millions of points.
 DEFAULT_BITS = {2: 24, 3: 16}
 
 _CURVES = {"hilbert": hilbert_index, "morton": morton_index}
+#: Curve names :func:`sfc_index` accepts.
+CURVE_NAMES = tuple(_CURVES)
 
 
 def normalize_to_cells(

@@ -83,8 +83,9 @@ class TestKMeansEquivalence:
     @pytest.mark.parametrize("nranks", RANK_COUNTS)
     @pytest.mark.parametrize("kernel_backend", ["numpy", "numba"])
     def test_incremental_engine_equivalence(self, nranks, kernel_backend):
-        """{full, incremental} x {numpy, numba} x {virtual, process}: the
-        incremental sweep engine changes no result on any backend.
+        """{no bounds, bounds} x {numpy, numba} x {virtual, process}: the
+        incremental sweep engine, which runs with the bounds, changes no
+        result on any backend.
 
         Integer weights keep every weight sum exact in float64, so even the
         delta-maintained block weights cannot drift; ``kernel_backend``
@@ -95,11 +96,10 @@ class TestKMeansEquivalence:
         pts = rng.random((900, 2))
         w = rng.integers(1, 5, 900).astype(np.float64)
         runs = {}
-        for use_incremental in (False, True):
-            cfg = BalancedKMeansConfig(use_incremental=use_incremental,
-                                       kernel_backend=kernel_backend)
+        for use_bounds in (False, True):
+            cfg = BalancedKMeansConfig(use_bounds=use_bounds, kernel_backend=kernel_backend)
             for backend in ("virtual", "process"):
-                runs[(use_incremental, backend)] = distributed_balanced_kmeans(
+                runs[(use_bounds, backend)] = distributed_balanced_kmeans(
                     pts, k=8, nranks=nranks, weights=w, rng=7, config=cfg, backend=backend
                 )
         reference = runs[(False, "virtual")]

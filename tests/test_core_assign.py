@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.assign import AssignStats, _box_candidates, assign_points
+from repro.core.assign import AssignStats, assign_points
 from repro.core.balanced_kmeans import balanced_kmeans
 from repro.core.bounds import init_bounds
 from repro.core.config import BalancedKMeansConfig
@@ -70,27 +70,6 @@ class TestAssignPoints:
         assert stats.points_total == len(pts)
         assert stats.center_evals <= stats.center_evals_possible
         assert 0.0 <= stats.pruning_fraction <= 1.0
-
-
-class TestBoxCandidates:
-    def test_prunes_far_centers(self):
-        rng = np.random.default_rng(4)
-        chunk = rng.random((50, 2)) * 0.1  # tight cluster near origin
-        centers = np.concatenate([rng.random((3, 2)) * 0.2, np.full((5, 2), 10.0)])
-        cand = _box_candidates(chunk, centers, np.ones(8))
-        assert cand is not None
-        assert set(cand.tolist()).issubset({0, 1, 2})
-
-    def test_keeps_all_when_necessary(self):
-        chunk = np.random.default_rng(5).random((20, 2))  # chunk spans everything
-        centers = np.random.default_rng(6).random((4, 2))
-        cand = _box_candidates(chunk, centers, np.ones(4))
-        # may return None (all) — both candidates paths must cover >= 2 centers
-        assert cand is None or cand.shape[0] >= 2
-
-    def test_small_k_skipped(self):
-        chunk = np.random.default_rng(7).random((10, 2))
-        assert _box_candidates(chunk, np.random.rand(2, 2), np.ones(2)) is None
 
 
 class TestAssignAndBalance:

@@ -36,10 +36,16 @@ class TestConfig:
             {"seeding": "magic"},
             {"chunk_size": 0},
             {"delta_threshold_rel": 0.0},
+            {"epsilon": float("nan")},
+            {"delta_threshold_rel": float("nan")},
+            {"sfc_curve": "peano"},
+            {"sfc_bits": 0},
+            {"sfc_bits": -3},
         ],
     )
     def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             BalancedKMeansConfig(**kwargs)
 
 

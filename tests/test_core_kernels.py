@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from repro.core.assign import assign_points
 from repro.core.bounds import init_bounds
 from repro.core.config import BalancedKMeansConfig
-from repro.core.kernels import HAVE_NUMBA, SweepWorkspace, resolve_backend
+from repro.core.kernels import HAVE_NUMBA, SweepWorkspace
+from repro.core.xp import resolve_kernel_backend
 from repro.geometry.boxes import BoundingBox, block_bounds, blocks_min_max_sq
 from repro.geometry.distances import (
     effective_distances,
@@ -100,11 +101,11 @@ class TestSquaredSpaceBitIdentity:
 
 class TestBackendResolution:
     def test_numpy_always_available(self):
-        assert resolve_backend("numpy") == "numpy"
+        assert resolve_kernel_backend("numpy") == "numpy"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            resolve_backend("cuda")
+            resolve_kernel_backend("cuda")
         with pytest.raises(ValueError):
             BalancedKMeansConfig(kernel_backend="cuda")
 
@@ -121,15 +122,15 @@ class TestBackendResolution:
 
         xp._reset_fallback_warnings()
         if HAVE_NUMBA:
-            assert resolve_backend("numba") == "numba"
+            assert resolve_kernel_backend("numba") == "numba"
             resolved = "numba"
         else:
             with pytest.warns(RuntimeWarning, match="numba"):
-                resolved = resolve_backend("numba")
+                resolved = resolve_kernel_backend("numba")
             assert resolved == "numpy"
             with warnings.catch_warnings():  # one-time: later resolutions are silent
                 warnings.simplefilter("error")
-                assert resolve_backend("numba") == "numpy"
+                assert resolve_kernel_backend("numba") == "numpy"
         cfg = BalancedKMeansConfig(kernel_backend="numba")
         ws = SweepWorkspace(np.random.default_rng(0).random((64, 2)), cfg, 4)
         assert ws.backend == resolved

@@ -11,7 +11,10 @@ Three contracts, exercised over randomized influence/relocation sequences:
 
 Plus unit tests for the satellite pieces: the vectorised static-block
 chunking, sparse-chunk merging, candidate-local relaxations, and the
-end-to-end full-vs-incremental bit identity of :func:`balanced_kmeans`.
+end-to-end bit identity of :func:`balanced_kmeans` with the §4.3 ablation
+(``use_bounds=False``: no bounds, no engine, a fresh ``bincount`` of the
+block weights every balance iteration), cold and along a warm
+repartitioning trajectory.
 """
 
 import numpy as np
@@ -26,13 +29,7 @@ from repro.core.assign import (
     assign_points,
 )
 from repro.core.balanced_kmeans import balanced_kmeans
-from repro.core.bounds import (
-    init_bounds,
-    relax_for_influence,
-    relax_for_influence_exclusive,
-    relax_for_movement,
-    relax_for_movement_exclusive,
-)
+from repro.core.bounds import init_bounds, relax_for_influence, relax_for_movement
 from repro.core.config import BalancedKMeansConfig
 from repro.core.kernels import HAVE_NUMBA, SweepWorkspace
 from repro.geometry.distances import effective_distances
@@ -71,7 +68,7 @@ def _drive_sequence(pts, weights, centers, rng, cfg, steps, check=None):
             old = influence.copy()
             influence = influence * rng.uniform(0.93, 1.07, k)
             if not ws.queue_relax_influence(assignment, ub, lb, old, influence):
-                relax_for_influence_exclusive(ub, lb, assignment, old, influence)
+                relax_for_influence(ub, lb, assignment, old, influence)
         elif kind == 1:  # relocate one center
             j = int(rng.integers(k))
             deltas = np.zeros(k)
@@ -80,7 +77,7 @@ def _drive_sequence(pts, weights, centers, rng, cfg, steps, check=None):
             deltas[j] = float(np.linalg.norm(new_centers[j] - centers[j]))
             centers = new_centers
             if not ws.queue_relax_movement(assignment, ub, lb, deltas, influence):
-                relax_for_movement_exclusive(ub, lb, assignment, deltas, influence)
+                relax_for_movement(ub, lb, assignment, deltas, influence)
         # kind == 2: sweep again with unchanged geometry
         delta = np.zeros(k)
         stats = AssignStats()
@@ -173,7 +170,7 @@ class TestFusedNumbaSweep:
             old = influence.copy()
             influence = influence * np.linspace(0.95, 1.05, k)
             if not ws.queue_relax_influence(assignment, ub, lb, old, influence):
-                relax_for_influence_exclusive(ub, lb, assignment, old, influence)
+                relax_for_influence(ub, lb, assignment, old, influence)
             delta = np.zeros(k)
             assign_points(pts, centers, influence, assignment, ub, lb, cfg,
                           workspace=ws, weights=weights, delta_out=delta)
@@ -224,11 +221,11 @@ class TestCandidateLocalRelax:
         assign_points(pts, centers, influence, assignment, ub, lb, cfg)
         old = influence.copy()
         influence = influence * rng.uniform(0.9, 1.1, 7)
-        relax_for_influence_exclusive(ub, lb, assignment, old, influence)
+        relax_for_influence(ub, lb, assignment, old, influence)
         deltas = rng.uniform(0.0, 0.01, 7)
         moved = centers + rng.normal(0, 0.004, centers.shape)
         actual = np.linalg.norm(moved - centers, axis=1)
-        relax_for_movement_exclusive(ub, lb, assignment, np.maximum(deltas, actual), influence)
+        relax_for_movement(ub, lb, assignment, np.maximum(deltas, actual), influence)
         eff = effective_distances(pts, moved, influence)
         rows = np.arange(700)
         own = eff[rows, assignment]
@@ -236,24 +233,6 @@ class TestCandidateLocalRelax:
         runner_up = eff.min(axis=1)
         assert np.all(ub >= own - 1e-12)
         assert np.all(lb <= runner_up + 1e-12)
-
-    def test_exclusive_returns_match_plain_on_uniform_factors(self):
-        """With uniform ratios the exclusive and plain forms coincide."""
-        n, k = 300, 5
-        rng = np.random.default_rng(1)
-        assignment = rng.integers(0, k, n)
-        ub1, lb1 = rng.random(n) + 1, rng.random(n)
-        ub2, lb2 = ub1.copy(), lb1.copy()
-        old, new = np.ones(k), np.full(k, 1.25)
-        relax_for_influence(ub1, lb1, assignment, old, new)
-        relax_for_influence_exclusive(ub2, lb2, assignment, old, new)
-        assert np.array_equal(ub1, ub2)
-        assert np.array_equal(lb1, lb2)
-        deltas, infl = np.full(k, 0.3), np.ones(k)
-        relax_for_movement(ub1, lb1, assignment, deltas, infl)
-        relax_for_movement_exclusive(ub2, lb2, assignment, deltas, infl)
-        assert np.array_equal(ub1, ub2)
-        assert np.array_equal(lb1, lb2)
 
 
 class TestChunking:
@@ -293,21 +272,61 @@ class TestChunking:
                     assert np.isin(own, cand).all()
 
 
+def _assert_same_run(a, b):
+    assert np.array_equal(a.assignment, b.assignment)
+    assert np.array_equal(a.centers, b.centers)
+    assert np.array_equal(a.influence, b.influence)
+    assert a.imbalance == b.imbalance
+    assert a.iterations == b.iterations
+    assert [h.balance_iterations for h in a.history] == [h.balance_iterations for h in b.history]
+
+
 class TestEndToEndIdentity:
+    """The engine against the §4.3 ablation: integer weights make every
+    block-weight sum exact, so the two must agree bit for bit."""
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_balanced_kmeans_full_vs_incremental(self, weighted):
         rng = np.random.default_rng(5)
         pts = rng.random((12000, 2))
         w = rng.integers(1, 5, 12000).astype(np.float64) if weighted else None
         res = {}
-        for inc in (False, True):
-            cfg = BalancedKMeansConfig(use_incremental=inc)
-            res[inc] = balanced_kmeans(pts, 16, weights=w, rng=2, config=cfg)
-        assert np.array_equal(res[False].assignment, res[True].assignment)
-        assert np.array_equal(res[False].centers, res[True].centers)
-        assert np.array_equal(res[False].influence, res[True].influence)
-        assert res[False].imbalance == res[True].imbalance
-        assert res[False].iterations == res[True].iterations
+        for use_bounds in (False, True):
+            cfg = BalancedKMeansConfig(use_bounds=use_bounds)
+            res[use_bounds] = balanced_kmeans(pts, 16, weights=w, rng=2, config=cfg)
+        _assert_same_run(res[False], res[True])
+
+    def test_warm_trajectory_matches_no_bounds(self):
+        """The balance bench's trajectory at n=20k, k=32: a settle run, then
+        warm repartitions under a moving hot spot (integer weights bumped
+        4x) that reuse one workspace and the SFC order."""
+        n, k = 20_000, 32
+        pts, base_w, centers0, _ = _sorted_workload(11, n, k)
+        order = np.arange(n)  # the points are already in SFC order
+        side = np.sqrt(0.002)
+        trails = {}
+        for use_bounds in (True, False):
+            cfg = BalancedKMeansConfig(use_bounds=use_bounds, max_balance_iterations=70,
+                                       incremental_block_size=64)
+            ws = SweepWorkspace(pts, cfg, k)
+
+            def run(weights, centers, phases):
+                return balanced_kmeans(pts, k, weights=weights, rng=0, centers=centers,
+                                       config=cfg.with_(max_iterations=phases),
+                                       workspace=ws, sfc_order=order)
+
+            result = run(base_w, centers0, 12)
+            trail = [result]
+            for r in range(4):
+                cx = 0.15 + 0.7 * r / 3
+                hot = (np.abs(pts[:, 0] - cx) < side / 2) & (np.abs(pts[:, 1] - 0.5) < side / 2)
+                w = base_w.copy()
+                w[hot] *= 4.0
+                result = run(w, result.centers, 3)
+                trail.append(result)
+            trails[use_bounds] = trail
+        for engine, reference in zip(trails[True], trails[False]):
+            _assert_same_run(engine, reference)
 
     def test_non_divisor_sub_block_size_stays_exact(self):
         """Sub-blocks are cut within static blocks even when
@@ -317,21 +336,20 @@ class TestEndToEndIdentity:
         rng = np.random.default_rng(31)
         pts = rng.random((6000, 2))
         w = rng.integers(1, 4, 6000).astype(np.float64)
-        inc_cfg = BalancedKMeansConfig(use_incremental=True, chunk_size=300,
-                                       incremental_block_size=256)
+        inc_cfg = BalancedKMeansConfig(chunk_size=300, incremental_block_size=256)
         ws = SweepWorkspace(pts, inc_cfg, 10)
         assert np.all(ws.sub_starts // ws.block_size
                       == (ws.sub_ends - 1) // ws.block_size), "sub-block spans two blocks"
         a = balanced_kmeans(pts, 10, weights=w, rng=4, config=inc_cfg)
         b = balanced_kmeans(pts, 10, weights=w, rng=4,
-                            config=inc_cfg.with_(use_incremental=False))
+                            config=inc_cfg.with_(use_bounds=False))
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.influence, b.influence)
 
     def test_incremental_inert_without_static_blocks(self):
         """No box pruning -> no static blocks -> the engine degrades silently."""
         pts = np.random.default_rng(8).random((2000, 2))
-        cfg = BalancedKMeansConfig(use_incremental=True, use_box_pruning=False)
+        cfg = BalancedKMeansConfig(use_box_pruning=False)
         ws = SweepWorkspace(pts, cfg, 6)
         assert not ws.incremental
         res = balanced_kmeans(pts, 6, rng=0, config=cfg)

@@ -18,13 +18,14 @@ from repro.core import xp
 from repro.core.assign import assign_points
 from repro.core.balanced_kmeans import balanced_kmeans
 from repro.core.config import BalancedKMeansConfig
-from repro.core.kernels import SweepWorkspace, resolve_backend
+from repro.core.kernels import SweepWorkspace
 from repro.core.xp import (
     ENV_VAR,
     KernelBackendSpec,
     available_kernel_backends,
     kernel_backend_names,
     kernel_backend_spec,
+    resolve_kernel_backend,
 )
 
 
@@ -69,7 +70,7 @@ class TestRegistry:
         with pytest.raises(ValueError, match="numpy"):
             kernel_backend_spec("cupy")
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("cupy")
+            resolve_kernel_backend("cupy")
 
     def test_registry_is_single_source_for_config(self, temp_backend, no_env_override):
         """A backend registered once is immediately a valid config value —
@@ -77,7 +78,7 @@ class TestRegistry:
         temp_backend("fake-extra", probe=lambda: True)
         cfg = BalancedKMeansConfig(kernel_backend="fake-extra")
         assert cfg.kernel_backend == "fake-extra"
-        assert resolve_backend("fake-extra") == "fake-extra"
+        assert resolve_kernel_backend("fake-extra") == "fake-extra"
 
     def test_registry_is_single_source_for_cli(self):
         from repro.cli import build_parser
@@ -104,10 +105,10 @@ class TestFallbackWarnings:
                      requires="fakedep", fallback="numpy")
         xp._reset_fallback_warnings()
         with pytest.warns(RuntimeWarning, match="fakedep"):
-            assert resolve_backend("fake-missing") == "numpy"
+            assert resolve_kernel_backend("fake-missing") == "numpy"
         with warnings.catch_warnings():  # second resolution: silent
             warnings.simplefilter("error")
-            assert resolve_backend("fake-missing") == "numpy"
+            assert resolve_kernel_backend("fake-missing") == "numpy"
 
     def test_fallback_chain_warns_per_hop(self, temp_backend, no_env_override):
         temp_backend("fake-mid", probe=lambda: False,
@@ -117,7 +118,7 @@ class TestFallbackWarnings:
         xp._reset_fallback_warnings()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert resolve_backend("fake-top") == "numpy"
+            assert resolve_kernel_backend("fake-top") == "numpy"
         messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
         assert len(messages) == 2
         assert "topdep" in messages[0] and "'fake-mid'" in messages[0]
@@ -135,19 +136,19 @@ class TestFallbackWarnings:
 class TestEnvOverride:
     def test_env_var_overrides_configured_backend(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "numpy")
-        assert resolve_backend("numba") == "numpy"  # no fallback warning needed
+        assert resolve_kernel_backend("numba") == "numpy"  # no fallback warning needed
         cfg = BalancedKMeansConfig(kernel_backend="numba")
         ws = SweepWorkspace(_pts(64), cfg, 4)
         assert ws.backend == "numpy"
 
     def test_empty_env_var_is_ignored(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "  ")
-        assert resolve_backend("numpy") == "numpy"
+        assert resolve_kernel_backend("numpy") == "numpy"
 
     def test_unknown_env_override_rejected(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "cupy")
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("numpy")
+            resolve_kernel_backend("numpy")
 
 
 class TestInputNormalization:
@@ -278,7 +279,7 @@ class TestTorchEquivalence:
                                    rtol=1e-9, atol=1e-12)
 
     def test_incremental_engine_disabled_in_device_mode(self, no_env_override):
-        cfg = BalancedKMeansConfig(use_incremental=True, kernel_backend="torch-cpu")
+        cfg = BalancedKMeansConfig(kernel_backend="torch-cpu")
         ws = SweepWorkspace(_pts(300), cfg, 4)
         assert ws.device_mode and not ws.incremental
         host = SweepWorkspace(_pts(300), cfg.with_(kernel_backend="numpy"), 4)

@@ -34,8 +34,6 @@ class TestBitIdentity:
         pytest.param(2, CFG, False, id="2"),
         pytest.param(4, CFG, False, id="4"),
         # the driver loop's other branches, on spill storage
-        pytest.param(2, BalancedKMeansConfig(epsilon=0.02, use_incremental=False), False,
-                     id="2-full-bincount"),
         pytest.param(2, BalancedKMeansConfig(epsilon=0.02, use_bounds=False), False, id="2-no-bounds"),
         pytest.param(3, BalancedKMeansConfig(epsilon=0.02, use_erosion=False), False, id="3-no-erosion"),
         pytest.param(2, CFG, True, id="2-warm-start"),

@@ -109,7 +109,7 @@ class TestOneRankInvariant:
     CASES = {
         "sampling": {},
         "no-sampling": {"use_sampling": False},
-        "no-incremental": {"use_incremental": False},
+        "no-bounds": {"use_bounds": False},
         "no-erosion": {"use_erosion": False},
     }
 
