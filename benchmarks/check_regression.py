@@ -18,8 +18,8 @@ Two schemas are recognised by their keys:
   by more than 10 %).
 - ``BENCH_kernels.json`` (``{"entries": [...]}``): every sweep bench present
   in *both* files (matched by name) is compared on ``seconds_min``; benches
-  missing on either side — e.g. numba/torch entries measured only where the
-  backend is installed — are skipped with a note, never treated as a
+  missing on either side — e.g. numba entries measured only where numba
+  is installed — are skipped with a note, never treated as a
   regression.
 - ``BENCH_ondisk.json`` (``{"streaming": ...}``): the out-of-core runner's
   wall-clock is compared directly; the streaming-vs-in-memory overhead

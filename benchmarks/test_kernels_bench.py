@@ -22,7 +22,7 @@ from repro.core.assign import assign_points
 from repro.core.bounds import init_bounds
 from repro.core.config import BalancedKMeansConfig
 from repro.core.kernels import HAVE_NUMBA, SweepWorkspace
-from repro.core.xp import available_kernel_backends, kernel_backend_spec
+from repro.core.xp import available_kernel_backends
 from repro.geometry.boxes import BoundingBox
 from repro.geometry.distances import top2_effective, top2_effective_reference
 from repro.metrics.commvolume import comm_volumes
@@ -194,8 +194,6 @@ _BACKEND_OF = {
     "sweep_engine_full": "numpy",
     "sweep_engine_pruned": "numpy",
     "sweep_engine_full_numba": "numba",
-    "sweep_engine_full_torch_cpu": "torch-cpu",
-    "sweep_engine_full_torch_cuda": "torch-cuda",
 }
 
 
@@ -239,33 +237,6 @@ def test_bench_sweep_engine_full_numba(benchmark, sweep_workload):
     assign_points(pts, centers, influence, assignment, ub, lb, cfg, workspace=workspace)  # JIT warmup
     benchmark(lambda: assign_points(pts, centers, influence, assignment, ub, lb, cfg, workspace=workspace))
     _record("sweep_engine_full_numba", benchmark.stats.stats.min, "numba")
-
-
-def _torch_sweep_bench(benchmark, sweep_workload, backend, name):
-    """Device-engine sweep in its steady state: one device session holds the
-    bounds resident, so the per-sweep traffic is only the k-sized vectors —
-    the shape of the assign-and-balance inner loop."""
-    pts, centers, influence = sweep_workload
-    cfg = BalancedKMeansConfig(use_bounds=False, use_box_pruning=False, kernel_backend=backend)
-    workspace, assignment, ub, lb = _engine_sweep_arrays(pts, SWEEP_K, cfg)
-    workspace.prepare(centers, influence)
-    workspace.begin_device_session(assignment, ub, lb)
-    try:
-        workspace.device_sweep(assignment, ub, lb, use_bounds=False)  # warmup
-        benchmark(lambda: workspace.device_sweep(assignment, ub, lb, use_bounds=False))
-    finally:
-        workspace.end_device_session()
-    _record(name, benchmark.stats.stats.min, backend)
-
-
-@pytest.mark.skipif(not kernel_backend_spec("torch-cpu").available, reason="torch not installed")
-def test_bench_sweep_engine_full_torch_cpu(benchmark, sweep_workload):
-    _torch_sweep_bench(benchmark, sweep_workload, "torch-cpu", "sweep_engine_full_torch_cpu")
-
-
-@pytest.mark.skipif(not kernel_backend_spec("torch-cuda").available, reason="CUDA not available")
-def test_bench_sweep_engine_full_torch_cuda(benchmark, sweep_workload):
-    _torch_sweep_bench(benchmark, sweep_workload, "torch-cuda", "sweep_engine_full_torch_cuda")
 
 
 def test_sweep_equivalence_and_emit_json(sweep_workload, bench_json_writer):

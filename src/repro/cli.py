@@ -45,6 +45,9 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.partitioners import available_partitioners
+
+    tools = available_partitioners()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Balanced k-means for parallel geometric partitioning (ICPP 2018 reproduction)",
@@ -65,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="partition one instance and print metrics")
     p.add_argument("instance", help="registry instance name or .graph file path")
     p.add_argument("-k", type=int, default=16, help="number of blocks (default 16)")
-    p.add_argument("--tool", default="Geographer")
+    p.add_argument("--tool", choices=tools, default="Geographer")
     p.add_argument("--epsilon", type=float, default=0.03)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
@@ -76,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--levels", default="2x3x4",
                    help="factorisation k = k1xk2x... matching a machine hierarchy "
                         "(islands x nodes x cores), e.g. 2x3x4 (default)")
-    h.add_argument("--tool", default="Geographer", help="inner partitioner per level")
+    h.add_argument("--tool", choices=tools, default="Geographer", help="inner partitioner per level")
     h.add_argument("--epsilon", type=float, default=0.03)
     h.add_argument("--scale", type=float, default=1.0)
     h.add_argument("--seed", type=int, default=0)
@@ -108,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("instance")
     v.add_argument("output", help="output .svg path")
     v.add_argument("-k", type=int, default=8)
-    v.add_argument("--tool", default="Geographer")
+    v.add_argument("--tool", choices=tools, default="Geographer")
     v.add_argument("--scale", type=float, default=1.0)
     v.add_argument("--seed", type=int, default=0)
 
@@ -125,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--backend", choices=backends, default=None,
                    help="execution backend (default: $REPRO_BACKEND, then virtual)")
     d.add_argument("--kernel-backend", choices=kernel_backend_names(), default=None,
-                   help="sweep kernel engine per rank (default: $REPRO_KERNEL_BACKEND, "
-                        "then numpy; unavailable backends fall back with a warning)")
+                   help="sweep kernel per rank (default: $REPRO_KERNEL_BACKEND, then "
+                        "numpy; numba falls back to numpy with a warning when not installed)")
     d.add_argument("--epsilon", type=float, default=0.03)
     d.add_argument("--scale", type=float, default=1.0)
     d.add_argument("--seed", type=int, default=0)
@@ -168,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", "--nranks", type=int, default=4, help="ranks (default 4)")
     sp.add_argument("--backend", choices=backends, default=None,
                     help="execution backend (default: $REPRO_BACKEND, then virtual)")
-    sp.add_argument("--tool", default="Geographer", help="partitioner producing the blocks")
+    sp.add_argument("--tool", choices=tools, default="Geographer",
+                    help="partitioner producing the blocks")
     sp.add_argument("--scale", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)
 
@@ -700,6 +704,8 @@ def _cmd_bench_service(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.runtime.checkpoint import CheckpointError
+
     args = build_parser().parse_args(argv)
     np.set_printoptions(precision=4, suppress=True)
     dispatch = {
@@ -720,7 +726,12 @@ def main(argv: list[str] | None = None) -> int:
         "serve": lambda: _cmd_serve(args),
         "bench-service": lambda: _cmd_bench_service(args),
     }
-    code = dispatch[args.command]()
+    try:
+        code = dispatch[args.command]()
+    except (ValueError, CheckpointError) as exc:
+        # domain errors (k > n, a bad config value, an unusable checkpoint)
+        # end in one line on stderr and exit status 1, not a traceback
+        raise SystemExit(f"repro {args.command}: {exc}") from exc
     return int(code or 0)
 
 

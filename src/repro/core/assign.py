@@ -130,13 +130,6 @@ class AssignStats:
         return self.points_skipped / self.points_total
 
     @property
-    def block_skip_fraction(self) -> float:
-        """Fraction of aggregate sub-blocks certified unchanged without being scanned."""
-        if self.blocks_total == 0:
-            return 0.0
-        return self.blocks_skipped / self.blocks_total
-
-    @property
     def pruning_fraction(self) -> float:
         """Fraction of center evaluations avoided by bounding-box pruning."""
         if self.center_evals_possible == 0:
@@ -265,22 +258,6 @@ def assign_points(
             )
     workspace.prepare(centers, influence)
     collect_delta = delta_out is not None and weights is not None
-
-    # -- device path: the whole sweep runs on the torch engine ----------------
-    if workspace.device_mode:
-        evaluated, center_evals, changed, delta = workspace.device_sweep(
-            assignment, ub, lb, config.use_bounds, weights if collect_delta else None
-        )
-        if collect_delta and delta is not None:
-            delta_out += delta
-        if stats is not None:
-            stats.sweeps += 1
-            stats.points_total += n
-            stats.points_skipped += n - evaluated
-            stats.center_evals += center_evals
-            stats.center_evals_possible += k * evaluated
-            stats.points_changed += changed
-        return evaluated
 
     # -- fused numba path: one kernel call replaces the chunk orchestration --
     if (

@@ -32,31 +32,7 @@ from repro.sfc.curves import sfc_index
 from repro.util.timers import StageTimer
 from repro.util.validation import check_k, check_points, check_weights, normalize_targets
 
-__all__ = ["balanced_kmeans", "compute_sfc_order", "weighted_center_update"]
-
-
-def weighted_center_update(
-    points: np.ndarray,
-    weights: np.ndarray,
-    assignment: np.ndarray,
-    k: int,
-    previous: np.ndarray,
-) -> np.ndarray:
-    """New centers = weighted mean of assigned points; empty clusters keep their center.
-
-    One fused ``bincount`` over a combined (cluster, dimension) key computes
-    all weighted coordinate sums at once (Algorithm 2, line 12-13).  A
-    single-array reference for the loop's allreduced
-    :func:`~repro.core.assign.center_partial_sums` update, which it equals
-    bit for bit.
-    """
-    d = points.shape[1]
-    wsum = np.bincount(assignment, weights=weights, minlength=k)
-    keys = (assignment[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(keys, weights=(weights[:, None] * points).ravel(), minlength=k * d)
-    sums = sums.reshape(k, d)
-    with np.errstate(invalid="ignore"):
-        return np.where(wsum[:, None] > 0, sums / np.maximum(wsum, 1e-300)[:, None], previous)
+__all__ = ["balanced_kmeans", "compute_sfc_order"]
 
 
 def compute_sfc_order(points: np.ndarray, config: BalancedKMeansConfig | None = None) -> np.ndarray:

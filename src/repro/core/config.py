@@ -75,16 +75,14 @@ class BalancedKMeansConfig:
     kernel_backend:
         Kernel backend for the assignment sweep, validated against the
         registry in :mod:`repro.core.xp`: ``"numpy"`` (default, vectorised
-        squared-space kernel), ``"numba"`` (fused JIT loop avoiding the
-        dense ``chunk x k`` matrix), ``"torch-cpu"`` or ``"torch-cuda"``
-        (device-resident torch engine; state crosses the host boundary once
-        per phase).  Unavailable backends degrade along their registered
-        fallback chain (``torch-cuda`` → ``torch-cpu`` → ``numpy``;
-        ``numba`` → ``numpy``) with a one-time warning naming the missing
-        dependency, so any registered name is safe to request; the
+        squared-space kernel) or ``"numba"`` (fused JIT loop avoiding the
+        dense ``chunk x k`` matrix).  Both run the same host sweep, bounds
+        and incremental engine.  Without numba installed, ``"numba"`` falls
+        back to ``"numpy"`` with a one-time warning naming the missing
+        dependency, so either name is safe to request; the
         ``REPRO_KERNEL_BACKEND`` environment variable overrides this field.
-        The numba/torch paths' dot-product accumulation order differs from
-        the host GEMM, so their bounds can differ in the last ulp and an
+        The numba kernel's dot-product accumulation order differs from the
+        host GEMM, so its bounds can differ in the last ulp and an
         assignment can flip at an exact floating-point near-tie; away from
         ties the partitions agree.
     influence_floor / influence_ceil:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["adapt_influence", "erode_influence", "estimate_cluster_diameters"]
+__all__ = ["adapt_influence", "erode_influence"]
 
 
 def adapt_influence(
@@ -48,30 +48,6 @@ def adapt_influence(
     out = influence * factor
     np.clip(out, floor, ceil, out=out)
     return out
-
-
-def estimate_cluster_diameters(
-    points: np.ndarray,
-    assignment: np.ndarray,
-    centers: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Cheap per-cluster diameter estimate: twice the RMS radius.
-
-    The erosion scheme needs beta(C), "the average cluster diameter"; an
-    exact diameter is quadratic, so we use 2 * rms distance to the center,
-    which is exact for a uniform ball up to a constant and cheap to compute
-    with one pass.  Empty clusters get diameter 0.
-    """
-    k = centers.shape[0]
-    diff = points - centers[assignment]
-    sq = np.einsum("ij,ij->i", diff, diff)
-    w = np.ones(points.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
-    sums = np.bincount(assignment, weights=sq * w, minlength=k)
-    counts = np.bincount(assignment, weights=w, minlength=k)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rms = np.sqrt(np.where(counts > 0, sums / np.maximum(counts, 1e-300), 0.0))
-    return 2.0 * rms
 
 
 def erode_influence(

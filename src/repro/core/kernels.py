@@ -29,17 +29,10 @@ backend names, availability probing and fallback):
     matrix.  Falls back to ``"numpy"`` when numba is not installed (with a
     one-time warning naming the missing dependency), so the backend switch
     is safe to enable unconditionally.
-``"torch-cpu"`` / ``"torch-cuda"``
-    The device-resident :class:`~repro.core.torch_engine.TorchSweepEngine`:
-    points, squared norms, block boxes and (per phase) the Hamerly bounds
-    live in device tensors, only k-sized vectors cross the host boundary
-    per sweep.  ``"torch-cuda"`` degrades to ``"torch-cpu"`` and then to
-    ``"numpy"`` along the registered fallback chain.  The sub-block
-    certification machinery (incremental engine) is host-side bookkeeping
-    over per-point arrays, so it disables itself in device mode — the
-    device sweep evaluates every Hamerly-active point instead.
 
-The active backend is resolved once, at workspace construction, from
+Both backends run the same host sweep over the same cached arrays, bounds
+and incremental aggregates; only the top-2 kernel differs.  The active
+backend is resolved once, at workspace construction, from
 ``config.kernel_backend`` and the ``REPRO_KERNEL_BACKEND`` environment
 override (see :func:`repro.core.xp.resolve_kernel_backend`).
 
@@ -98,9 +91,8 @@ import weakref
 
 import numpy as np
 
-from repro.core import xp as _xp
 from repro.core.bounds import _eff_deltas, _influence_ratio
-from repro.core.xp import HAVE_NUMBA
+from repro.core.xp import HAVE_NUMBA, resolve_kernel_backend
 from repro.geometry.boxes import block_bounds, blocks_min_max_sq
 from repro.geometry.distances import top2_effective
 
@@ -301,23 +293,15 @@ class SweepWorkspace:
     the incremental block-bound aggregates are disabled there, since they
     only pay off when they survive across sweeps.
 
-    On a device backend (``torch-cpu`` / ``torch-cuda``) the workspace also
-    owns a :class:`~repro.core.torch_engine.TorchSweepEngine` holding the
-    device-resident mirror of this state; ``rank`` feeds per-rank device
-    affinity (defaults to the process/MPI rank hint, see
-    :func:`repro.core.xp.get_rank_hint`).  Input points are promoted to
-    C-contiguous float64 identically on every backend.
+    Input points are promoted to C-contiguous float64 on every backend.
     """
 
-    def __init__(self, points: np.ndarray, config, k: int, ephemeral: bool = False,
-                 rank: int | None = None):
+    def __init__(self, points: np.ndarray, config, k: int, ephemeral: bool = False):
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         self.k = int(k)
         self.config = config
-        self.backend = _xp.resolve_kernel_backend(getattr(config, "kernel_backend", "numpy"))
-        self.device_mode = _xp.kernel_backend_spec(self.backend).device
-        self.xp = _xp.get_namespace(self.backend)
-        self.points_sq = self.xp.einsum("ij,ij->i", self.points, self.points)
+        self.backend = resolve_kernel_backend(getattr(config, "kernel_backend", "numpy"))
+        self.points_sq = np.einsum("ij,ij->i", self.points, self.points)
         self._bufs: tuple[np.ndarray, np.ndarray] | None = None
         self._centers_ref: np.ndarray | None = None
         self.centers: np.ndarray | None = None
@@ -374,7 +358,6 @@ class SweepWorkspace:
         self.incremental = bool(
             self.has_static_blocks
             and not ephemeral
-            and not self.device_mode  # sub-block filter is host-side bookkeeping
             and getattr(config, "use_bounds", True)
         )
         self.sub_min_gap: np.ndarray | None = None
@@ -387,20 +370,6 @@ class SweepWorkspace:
         # Weak references, not ids: a dead-and-reallocated array must never
         # masquerade as the original.
         self._bound_token: tuple | None = None
-        # device backends: one engine per workspace holds the device-resident
-        # mirror (points and static geometry upload here, exactly once)
-        self._engine = None
-        if self.device_mode:
-            from repro.core.torch_engine import TorchSweepEngine
-
-            point_block = None
-            if self.has_static_blocks:
-                n = self.points.shape[0]
-                point_block = (np.arange(n, dtype=np.int64) // self.block_size)
-            self._engine = TorchSweepEngine(
-                self.backend, self.points, self.points_sq,
-                self.block_lo, self.block_hi, point_block, self.k, rank=rank,
-            )
 
     # -- warm reuse ---------------------------------------------------------
 
@@ -449,12 +418,8 @@ class SweepWorkspace:
             raise ValueError(f"expected {self.k} centers, got {centers.shape[0]}")
         self._centers_ref = centers
         self.centers = np.ascontiguousarray(centers, dtype=np.float64)
-        self.centers_sq = self.xp.einsum("ij,ij->i", self.centers, self.centers)
-        if self.device_mode:
-            # the engine derives the block distance ranges on device; the
-            # host copies are not needed (the device sweep owns pruning)
-            self._engine.begin_phase(self.centers, self.centers_sq)
-        elif self.has_static_blocks:
+        self.centers_sq = np.einsum("ij,ij->i", self.centers, self.centers)
+        if self.has_static_blocks:
             self._block_min_sq, self._block_max_sq = blocks_min_max_sq(
                 self.block_lo, self.block_hi, self.centers
             )
@@ -469,9 +434,7 @@ class SweepWorkspace:
         self.influence = influence
         self.inv_influence_sq = influence**-2.0
         self._block_cand_cache.clear()
-        if self.device_mode:
-            self._engine.prepare(self.influence, self.inv_influence_sq)
-        elif self.has_static_blocks:
+        if self.has_static_blocks:
             # exact §4.4 rule in squared space, all blocks at once: a center
             # whose min effective distance to the box exceeds the
             # second-smallest max effective distance can be neither best nor
@@ -881,63 +844,3 @@ class SweepWorkspace:
             int(active.sum()),
             self.n_subs,
         )
-
-    # -- device-resident engine (torch backends) ----------------------------
-
-    @property
-    def engine(self):
-        """The :class:`~repro.core.torch_engine.TorchSweepEngine`, or ``None``."""
-        return self._engine
-
-    def begin_device_session(
-        self,
-        assignment: np.ndarray,
-        ub: np.ndarray,
-        lb: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> None:
-        """Upload the per-point state once for a whole balance loop.
-
-        Until :meth:`end_device_session`, the host arrays are stale: sweeps,
-        block-weight reductions and influence relaxations run on the device
-        copies (the Algorithm 2 loop brackets each phase's balance
-        iterations in a session, which is what makes bounds cross the host
-        boundary once per phase).
-        """
-        self._engine.begin_session(assignment, ub, lb, weights)
-
-    @property
-    def in_device_session(self) -> bool:
-        """True between :meth:`begin_device_session` and :meth:`end_device_session`."""
-        return self._engine is not None and self._engine.in_session
-
-    def end_device_session(self) -> None:
-        """Flush the device per-point state back into the host arrays."""
-        self._engine.end_session()
-
-    def device_sweep(
-        self,
-        assignment: np.ndarray,
-        ub: np.ndarray,
-        lb: np.ndarray,
-        use_bounds: bool,
-        weights: np.ndarray | None = None,
-    ) -> tuple[int, int, int, np.ndarray | None]:
-        """One whole sweep on the device engine.
-
-        Returns ``(evaluated, center_evals, changed, delta)``; see
-        :meth:`repro.core.torch_engine.TorchSweepEngine.sweep`.
-        """
-        return self._engine.sweep(assignment, ub, lb, use_bounds, weights)
-
-    def device_block_weights(self, assignment: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per-cluster weight sums on device (k-sized download)."""
-        return self._engine.block_weights(assignment, weights)
-
-    def device_relax_influence(self, old_influence: np.ndarray, new_influence: np.ndarray) -> None:
-        """Influence relaxation applied to the session's device tensors."""
-        self._engine.relax_influence(old_influence, new_influence)
-
-    def transfer_stats(self) -> dict | None:
-        """Host↔device transfer accounting (``None`` on host backends)."""
-        return None if self._engine is None else self._engine.transfer_stats()

@@ -1,25 +1,17 @@
-"""Array-namespace shim and kernel-backend registry for the sweep engine.
+"""Kernel-backend registry for the sweep engine.
 
 The assignment-sweep kernels (:mod:`repro.core.kernels`,
-:mod:`repro.geometry.distances`) are written against *one* array namespace
-selected here instead of calling ``np.*`` of a hardwired backend.  Four
-kernel backends are registered out of the box:
+:mod:`repro.geometry.distances`) run on one of two registered kernel
+backends:
 
 ==============  ==========================================================
 ``numpy``       vectorised squared-space kernels (always available)
 ``numba``       fused JIT loops over the same arrays (needs ``numba``)
-``torch-cpu``   device-resident torch engine on the CPU (needs ``torch``)
-``torch-cuda``  the same engine on a CUDA device (needs ``torch`` + GPU)
 ==============  ==========================================================
 
-``numpy`` and ``numba`` share the numpy namespace — the numba kernels JIT
-over numpy arrays — so :func:`get_namespace` returns :mod:`numpy` for both
-and every result stays bit-identical between them away from floating-point
-ties.  The torch backends run the sweep on a *device-resident* engine
-(:mod:`repro.core.torch_engine`): large state (points, squared norms, block
-boxes, Hamerly bounds, weights) crosses the host boundary once per phase,
-only k-sized vectors (centers, influence, block-weight deltas) cross per
-sweep.
+Both run the one host sweep over numpy arrays — the numba kernels JIT over
+them — so every cache, bound and incremental aggregate is shared, and
+results stay bit-identical between them away from floating-point ties.
 
 This registry is the single source of truth for backend names: config
 validation (:class:`repro.core.config.BalancedKMeansConfig`), the CLI
@@ -31,18 +23,13 @@ Resolution rules (:func:`resolve_kernel_backend`):
 - the ``REPRO_KERNEL_BACKEND`` environment variable, when set and
   non-empty, overrides the configured name (mirrors ``REPRO_BACKEND`` for
   the execution backends; lets a whole run switch engines without touching
-  configs);
+  configs); an unregistered name there raises a :class:`ValueError` that
+  names the variable;
 - an unavailable backend degrades along its registered fallback chain
-  (``torch-cuda`` → ``torch-cpu`` → ``numpy``; ``numba`` → ``numpy``) and
-  emits a **one-time** :class:`RuntimeWarning` naming the missing
-  dependency — behavior is otherwise identical to the requested backend's
-  fallback, so configs remain portable across environments.
-
-Per-rank device affinity: the process and MPI execution backends record
-their rank via :func:`set_rank_hint` when a worker starts; ``torch-cuda``
-engines pick ``cuda:(rank % device_count)`` from that hint (or from an
-explicit ``rank=`` passed to :class:`repro.core.kernels.SweepWorkspace`),
-so co-scheduled ranks spread over the node's GPUs.
+  (``numba`` → ``numpy``) and emits a **one-time** :class:`RuntimeWarning`
+  naming the missing dependency — behavior is otherwise identical to the
+  requested backend's fallback, so configs remain portable across
+  environments.
 """
 
 from __future__ import annotations
@@ -53,8 +40,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "HAVE_NUMBA",
     "KernelBackendSpec",
@@ -63,10 +48,6 @@ __all__ = [
     "kernel_backend_spec",
     "available_kernel_backends",
     "resolve_kernel_backend",
-    "get_namespace",
-    "set_rank_hint",
-    "get_rank_hint",
-    "torch_runtime",
 ]
 
 ENV_VAR = "REPRO_KERNEL_BACKEND"
@@ -80,29 +61,6 @@ def _module_exists(name: str) -> bool:
 
 
 HAVE_NUMBA = _module_exists("numba")
-HAVE_TORCH = _module_exists("torch")
-
-_CUDA_PROBE: bool | None = None
-
-
-def _have_cuda() -> bool:
-    """True when torch can see at least one CUDA device (probe cached).
-
-    Importing torch is expensive, so the probe only runs when a CUDA
-    backend is actually requested, never at registry import.
-    """
-    global _CUDA_PROBE
-    if _CUDA_PROBE is None:
-        if not HAVE_TORCH:
-            _CUDA_PROBE = False
-        else:  # pragma: no cover - requires torch
-            try:
-                import torch
-
-                _CUDA_PROBE = bool(torch.cuda.is_available())
-            except Exception:
-                _CUDA_PROBE = False
-    return _CUDA_PROBE
 
 
 @dataclass(frozen=True)
@@ -111,15 +69,13 @@ class KernelBackendSpec:
 
     ``requires`` names the dependency reported by the fallback warning;
     ``fallback`` is the backend tried next when this one is unavailable
-    (``None`` means the backend must always be available); ``device`` marks
-    backends whose sweeps run on the device-resident torch engine.
+    (``None`` means the backend must always be available).
     """
 
     name: str
     probe: Callable[[], bool]
     requires: str | None = None
     fallback: str | None = None
-    device: bool = False
 
     @property
     def available(self) -> bool:
@@ -140,16 +96,6 @@ def register_kernel_backend(spec: KernelBackendSpec) -> None:
 register_kernel_backend(KernelBackendSpec("numpy", probe=lambda: True))
 register_kernel_backend(
     KernelBackendSpec("numba", probe=lambda: HAVE_NUMBA, requires="numba", fallback="numpy")
-)
-register_kernel_backend(
-    KernelBackendSpec(
-        "torch-cpu", probe=lambda: HAVE_TORCH, requires="torch", fallback="numpy", device=True
-    )
-)
-register_kernel_backend(
-    KernelBackendSpec(
-        "torch-cuda", probe=_have_cuda, requires="torch (with CUDA)", fallback="torch-cpu", device=True
-    )
 )
 
 
@@ -190,6 +136,9 @@ def resolve_kernel_backend(name: str, env: os._Environ | dict | None = None) -> 
     env = os.environ if env is None else env
     override = env.get(ENV_VAR, "").strip()
     if override:
+        if override not in _REGISTRY:
+            raise ValueError(f"{ENV_VAR}: unknown kernel backend {override!r}; "
+                             f"registered: {', '.join(_REGISTRY)}")
         name = override
     spec = kernel_backend_spec(name)
     requested = spec
@@ -208,72 +157,3 @@ def resolve_kernel_backend(name: str, env: os._Environ | dict | None = None) -> 
             )
         spec = next_spec
     return spec.name
-
-
-def get_namespace(backend: str):
-    """The array namespace the named backend's host-side kernels run on.
-
-    ``numpy`` and ``numba`` share :mod:`numpy` (the numba kernels JIT over
-    numpy arrays, so caches computed through this namespace feed both);
-    the torch backends also keep their *host-side* caches in numpy — the
-    device-resident tensors live in :class:`repro.core.torch_engine
-    .TorchSweepEngine`, constructed via :func:`torch_runtime`.
-    """
-    kernel_backend_spec(backend)  # validate
-    return np
-
-
-# -- per-rank device affinity -------------------------------------------------
-
-_RANK_HINT: int | None = None
-
-_MPI_RANK_ENV_VARS = (
-    # set by the common MPI launchers before python starts, so ephemeral
-    # workspaces built inside an mpiexec-launched rank can find their rank
-    # without importing mpi4py
-    "OMPI_COMM_WORLD_RANK",
-    "PMI_RANK",
-    "PMIX_RANK",
-    "SLURM_PROCID",
-)
-
-
-def set_rank_hint(rank: int | None) -> None:
-    """Record the executing rank (process/MPI workers call this on startup)."""
-    global _RANK_HINT
-    _RANK_HINT = None if rank is None else int(rank)
-
-
-def get_rank_hint() -> int | None:
-    """The rank hint for device affinity: explicit hint, then MPI env vars."""
-    if _RANK_HINT is not None:
-        return _RANK_HINT
-    for var in _MPI_RANK_ENV_VARS:
-        value = os.environ.get(var)
-        if value is not None:
-            try:
-                return int(value)
-            except ValueError:
-                continue
-    return None
-
-
-def torch_runtime(backend: str, rank: int | None = None):
-    """Import torch and pick the device for ``backend`` / ``rank``.
-
-    Returns ``(torch module, torch.device)``.  For ``torch-cuda`` the
-    device index is ``rank % device_count`` with the rank taken from the
-    explicit argument, then the process/MPI rank hint, then 0 — the
-    "per-rank device affinity" of the distributed backends.
-    """
-    spec = kernel_backend_spec(backend)
-    if not spec.device:
-        raise ValueError(f"backend {backend!r} has no torch runtime")
-    import torch  # deferred: resolve_kernel_backend guarantees availability
-
-    if backend == "torch-cuda":  # pragma: no cover - requires CUDA
-        if rank is None:
-            rank = get_rank_hint() or 0
-        count = max(1, torch.cuda.device_count())
-        return torch, torch.device("cuda", int(rank) % count)
-    return torch, torch.device("cpu")

@@ -98,9 +98,9 @@ def run_distributed_on_mesh(
     on the process and mpi backends; ``backend="mpi"`` requires an SPMD
     launch through :mod:`repro.runtime.mpi_main`).
 
-    ``kernel_backend`` selects the per-rank sweep kernel engine (any name
-    registered in :mod:`repro.core.xp`; default: the config default, still
-    overridable via ``REPRO_KERNEL_BACKEND``).
+    ``kernel_backend`` selects the per-rank sweep kernel, ``"numpy"`` or
+    ``"numba"`` (the names registered in :mod:`repro.core.xp`; default: the
+    config default, still overridable via ``REPRO_KERNEL_BACKEND``).
 
     ``checkpoint``/``checkpoint_every``/``resume_from``/``provenance`` are
     forwarded to

@@ -115,10 +115,6 @@ class MachineModel:
         """Island penalty: 1 inside a single island, ``island_factor`` beyond."""
         return 1.0 if nranks <= self.island_size else self.island_factor
 
-    def point_to_point(self, nbytes: float, nranks: int = 1) -> float:
-        """One message of ``nbytes``."""
-        return (self.alpha + self.beta * float(nbytes)) * self.penalty(nranks)
-
     def allreduce(self, nbytes: float, nranks: int) -> float:
         """Tree allreduce: ceil(log2 p) rounds of alpha + beta * nbytes."""
         if nranks <= 1:

@@ -277,15 +277,12 @@ def _relax_influence_local(ub, lb, assignment, old_influence, new_influence, wor
     Module-level so the rank closure ships cleanly to worker processes.  A
     rank's persistent workspace (driver-resident backends only — worker
     ranks rebuild ephemeral workspaces and pass ``None``) relaxes per static
-    block; inside a device session the bounds live on the device, so the
-    relaxation runs there.  Everything else takes the cluster-exact form.
+    block; everything else takes the cluster-exact form.
     """
-    if workspace is not None:
-        if workspace.in_device_session:
-            workspace.device_relax_influence(old_influence, new_influence)
-            return
-        if workspace.queue_relax_influence(assignment, ub, lb, old_influence, new_influence):
-            return
+    if workspace is not None and workspace.queue_relax_influence(
+        assignment, ub, lb, old_influence, new_influence
+    ):
+        return
     relax_for_influence(ub, lb, assignment, old_influence, new_influence)
 
 
@@ -653,10 +650,7 @@ def _kmeans_loop(
     # spill storage rebuild an ephemeral workspace per sweep instead
     # (assign_points does this when given None) — bit-identical results, the
     # caches are exact — so the unpicklable workspace never crosses a pipe
-    # and no O(n/p) cache outlives a spill turn; worker device affinity
-    # comes from the rank hint each worker sets at startup
-    # (repro.core.xp.set_rank_hint).  rank=r gives torch-cuda workspaces
-    # per-rank device affinity (cuda:(r % device_count)).
+    # and no O(n/p) cache outlives a spill turn.
     keep_state = storage.persistent_state
     if workspace is not None:
         if not (keep_state and workspace.matches(storage.view(local_pts[0]), cfg, k)):
@@ -669,7 +663,7 @@ def _kmeans_loop(
     workspaces = [None] * p
     if keep_state:
         workspaces = [workspace if r == 0 and workspace is not None
-                      else SweepWorkspace(local_pts[r], cfg, k, rank=r) for r in range(p)]
+                      else SweepWorkspace(local_pts[r], cfg, k) for r in range(p)]
 
     # -- sampled initialisation rounds (per rank, §4.5) -----------------------
     # (skipped on warm starts: the previous centers are already near-optimal;
@@ -697,64 +691,48 @@ def _kmeans_loop(
         kernels) — one full bincount reduction seeds the phase unless
         ``block_w0`` carries the previous phase's weights in.  With bounds
         off (the §4.3 ablation) every iteration reduces a fresh bincount.
-
-        A driver-resident device workspace runs the phase in one device
-        session: its assignment and bounds upload once here and download once
-        at the end, so the balance iterations in between exchange only
-        k-sized vectors with the device (the host arrays are stale until the
-        session ends).
         """
         nonlocal influence
         state = dict(read=(s_pts, s_w), write=(s_assign, s_ub, s_lb))
         stats = [None if ws is None else AssignStats() for ws in s_workspaces]
         block_w = np.array(block_w0, dtype=np.float64, copy=True) if (cfg.use_bounds and block_w0 is not None) else None
         balanced = False
-        sessions = [r for r, ws in enumerate(s_workspaces) if ws is not None and ws.device_mode]
-        for r in sessions:
-            s_workspaces[r].begin_device_session(s_assign[r], s_ub[r], s_lb[r], s_w[r])
-        try:
-            for bit in range(cfg.max_balance_iterations):
-                comm.set_stage("kmeans")
+        for bit in range(cfg.max_balance_iterations):
+            comm.set_stage("kmeans")
 
-                if block_w is not None:
+            if block_w is not None:
 
-                    def sweep_delta(r: int, pts, w, a, upper, lower) -> np.ndarray:
-                        delta = np.zeros(k)
-                        assign_points(pts, centers, influence, a, upper, lower, cfg, stats[r],
-                                      workspace=s_workspaces[r], weights=w, delta_out=delta)
-                        return delta
+                def sweep_delta(r: int, pts, w, a, upper, lower) -> np.ndarray:
+                    delta = np.zeros(k)
+                    assign_points(pts, centers, influence, a, upper, lower, cfg, stats[r],
+                                  workspace=s_workspaces[r], weights=w, delta_out=delta)
+                    return delta
 
-                    block_w = block_w + comm.allreduce(comm.run_local(storage.local(sweep_delta, **state)))
-                else:
+                block_w = block_w + comm.allreduce(comm.run_local(storage.local(sweep_delta, **state)))
+            else:
 
-                    def sweep(r: int, pts, w, a, upper, lower) -> np.ndarray:
-                        ws = s_workspaces[r]
-                        assign_points(pts, centers, influence, a, upper, lower, cfg, stats[r],
-                                      workspace=ws)
-                        if ws is not None and ws.device_mode:
-                            return ws.device_block_weights(a, w)
-                        return np.bincount(a, weights=np.asarray(w), minlength=k)
+                def sweep(r: int, pts, w, a, upper, lower) -> np.ndarray:
+                    assign_points(pts, centers, influence, a, upper, lower, cfg, stats[r],
+                                  workspace=s_workspaces[r])
+                    return np.bincount(a, weights=np.asarray(w), minlength=k)
 
-                    block_w = comm.allreduce(comm.run_local(storage.local(sweep, **state)))
-                imbalance = float((block_w / s_targets).max() - 1.0)
-                if imbalance <= cfg.epsilon:
-                    balanced = True
-                    break
-                if bit == cfg.max_balance_iterations - 1:
-                    break  # keep influence consistent with the final assignment
-                old_influence = influence.copy()
-                influence = adapt_influence(
-                    influence, block_w, s_targets, dim,
-                    cap=cfg.influence_change_cap, floor=cfg.influence_floor, ceil=cfg.influence_ceil,
-                )
-                if cfg.use_bounds:
-                    relax([(_relax_influence_local, (old_influence, influence))],
-                          s_assign, s_ub, s_lb, s_workspaces)
-                else:
-                    block_w = None  # force a fresh bincount reduction next iteration
-        finally:
-            for r in sessions:
-                s_workspaces[r].end_device_session()
+                block_w = comm.allreduce(comm.run_local(storage.local(sweep, **state)))
+            imbalance = float((block_w / s_targets).max() - 1.0)
+            if imbalance <= cfg.epsilon:
+                balanced = True
+                break
+            if bit == cfg.max_balance_iterations - 1:
+                break  # keep influence consistent with the final assignment
+            old_influence = influence.copy()
+            influence = adapt_influence(
+                influence, block_w, s_targets, dim,
+                cap=cfg.influence_change_cap, floor=cfg.influence_floor, ceil=cfg.influence_ceil,
+            )
+            if cfg.use_bounds:
+                relax([(_relax_influence_local, (old_influence, influence))],
+                      s_assign, s_ub, s_lb, s_workspaces)
+            else:
+                block_w = None  # force a fresh bincount reduction next iteration
         merged = AssignStats()
         for st in stats:
             if st is not None:
@@ -809,7 +787,7 @@ def _kmeans_loop(
                 s_w.append(storage.put("s_w", r, np.asarray(storage.view(local_w[r]))[rows]))
             s_assign, s_ub, s_lb = _fresh_state(storage, "s_", sizes)
             frac = sum(float(storage.view(sw).sum()) for sw in s_w) / total_w
-            s_workspaces = [SweepWorkspace(s_pts[r], cfg, k, rank=r) if keep_state else None
+            s_workspaces = [SweepWorkspace(s_pts[r], cfg, k) if keep_state else None
                             for r in range(p)]
             _, imbalance, _, its, stats = balance(s_pts, s_w, s_assign, s_ub, s_lb, s_workspaces,
                                                   targets * frac)

@@ -151,11 +151,6 @@ def worker_loop() -> None:
     rank = world.Get_rank()
     if rank == 0:
         raise RuntimeError("worker_loop serves ranks > 0; rank 0 is the driver")
-    # device affinity for the kernel backends: ephemeral SweepWorkspaces
-    # built on this rank pick their CUDA device from this hint
-    from repro.core.xp import set_rank_hint
-
-    set_rank_hint(rank)
     while True:
         msg = world.bcast(None, root=0)
         op = msg[0]

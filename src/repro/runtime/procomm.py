@@ -274,11 +274,6 @@ class SharedArray(np.ndarray):
 def _worker_main(rank: int, conn) -> None:
     """Worker process: execute shipped rank functions until told to exit."""
     _disable_shm_tracking()
-    # device affinity for the kernel backends: ephemeral SweepWorkspaces
-    # built inside this worker pick their CUDA device from this hint
-    from repro.core.xp import set_rank_hint
-
-    set_rank_hint(rank)
     try:
         while True:
             try:

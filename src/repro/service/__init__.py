@@ -2,9 +2,9 @@
 
 The paper's headline use case is *repartitioning* — a simulation whose load
 shifts every few timesteps and re-balances warm-started from the previous
-partition.  This package composes the ingredients PRs 1-7 built (warm-start
-``repartition()``, shared-memory ``SharedArray``, the kernel-backend
-registry, checkpoint/resume) into a serving layer:
+partition.  This package composes the library's warm-start
+``repartition()``, shared-memory ``SharedArray`` and checkpoint/resume into
+a serving layer:
 
 - :class:`~repro.service.server.PartitionService` — the in-process core:
   datasets registered once into server-owned shared-memory segments,

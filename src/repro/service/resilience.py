@@ -471,10 +471,6 @@ class ComputeSupervisor:
         self.ledger.count("compute_respawns")
         self.ledger.record_event("compute_respawn", respawns=self.respawns)
 
-    def submit(self, fn: Callable[[], object]):
-        """Unsupervised executor access (cheap non-compute work)."""
-        return asyncio.get_running_loop().run_in_executor(self._pool, fn)
-
     def quiesce(self, timeout: float | None = None) -> bool:
         """Block until every *abandoned* compute thread has actually exited.
 

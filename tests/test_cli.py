@@ -38,6 +38,30 @@ class TestCommands:
         with pytest.raises(SystemExit, match="unknown instance"):
             main(["partition", "atlantis"])
 
+    def test_partition_k_exceeds_n_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="repro partition: k=100000 exceeds the number of points"):
+            main(["partition", "rgg2d", "--scale", "0.05", "-k", "100000"])
+
+    @pytest.mark.parametrize("command", [
+        ["partition", "rgg2d"],
+        ["hierarchical", "rgg2d"],
+        ["visualize", "rgg2d", "out.svg"],
+        ["spmv", "rgg2d"],
+    ])
+    def test_unknown_tool_exits_cleanly(self, command, capsys):
+        with pytest.raises(SystemExit, match="^2$"):  # argparse's usage-error status
+            main([*command, "--tool", "nosuch"])
+        assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+
+    def test_resume_without_checkpoint_exits_cleanly(self, tmp_path):
+        with pytest.raises(SystemExit, match="repro resume: no valid checkpoint"):
+            main(["resume", str(tmp_path)])
+
+    def test_unknown_kernel_backend_env_exits_cleanly(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "torch-cuda")
+        with pytest.raises(SystemExit, match="REPRO_KERNEL_BACKEND: unknown kernel backend 'torch-cuda'"):
+            main(["distributed", "rgg2d", "--scale", "0.05", "-k", "4", "-p", "2"])
+
     def test_partition_metis_file(self, tmp_path, capsys):
         from repro.mesh.grid import grid_mesh
         from repro.mesh.io import write_coords, write_metis

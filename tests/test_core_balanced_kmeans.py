@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.balanced_kmeans import balanced_kmeans, compute_sfc_order, weighted_center_update
+from repro.core.assign import center_partial_sums
+from repro.core.balanced_kmeans import balanced_kmeans, compute_sfc_order
 from repro.core.config import BalancedKMeansConfig
 from repro.metrics.imbalance import imbalance
 
@@ -41,6 +42,8 @@ class TestConfig:
             {"sfc_curve": "peano"},
             {"sfc_bits": 0},
             {"sfc_bits": -3},
+            {"kernel_backend": "torch-cpu"},
+            {"kernel_backend": "torch-cuda"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -50,36 +53,42 @@ class TestConfig:
 
 
 class TestCenterUpdate:
+    """The rank-local k x (d+1) partial sums behind the center-update allreduce."""
+
     def test_weighted_mean(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 10.0]])
         w = np.array([1.0, 3.0, 1.0])
         a = np.array([0, 0, 1])
-        centers = weighted_center_update(pts, w, a, 2, np.zeros((2, 2)))
+        sums = center_partial_sums(pts, w, a, 2)
+        assert np.array_equal(sums[:, 2], [4.0, 1.0])
+        centers = sums[:, :2] / sums[:, 2:]
         assert np.allclose(centers[0], [1.5, 0.0])
         assert np.allclose(centers[1], [10.0, 10.0])
 
     def test_empty_cluster_keeps_previous(self):
+        """An empty cluster contributes an all-zero row: its weight column
+        is 0, which is what makes the loop's update keep its previous center."""
         pts = np.array([[1.0, 1.0]])
-        prev = np.array([[0.0, 0.0], [5.0, 5.0]])
-        centers = weighted_center_update(pts, np.ones(1), np.zeros(1, dtype=np.int64), 2, prev)
-        assert np.allclose(centers[1], [5.0, 5.0])
+        sums = center_partial_sums(pts, np.ones(1), np.zeros(1, dtype=np.int64), 2)
+        assert np.array_equal(sums[0], [1.0, 1.0, 1.0])
+        assert np.array_equal(sums[1], [0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_fused_bincount_matches_per_dimension_reference(self, d):
-        """The single fused accumulation equals the per-dimension bincount loop."""
+        """The partial sums equal per-dimension weighted bincounts bit for bit."""
         rng = np.random.default_rng(40 + d)
         n, k = 1000, 7
         pts = rng.random((n, d))
         w = rng.uniform(0.1, 3.0, n)
         a = rng.integers(0, k, n)
         a[a == 5] = 4  # leave cluster 5 empty
-        prev = rng.random((k, d))
-        reference = np.empty((k, d))
-        wsum = np.bincount(a, weights=w, minlength=k)
+        reference = np.empty((k, d + 1))
         for dd in range(d):
-            sums = np.bincount(a, weights=w * pts[:, dd], minlength=k)
-            reference[:, dd] = np.where(wsum > 0, sums / np.maximum(wsum, 1e-300), prev[:, dd])
-        assert np.array_equal(weighted_center_update(pts, w, a, k, prev), reference)
+            reference[:, dd] = np.bincount(a, weights=w * pts[:, dd], minlength=k)
+        reference[:, d] = np.bincount(a, weights=w, minlength=k)
+        sums = center_partial_sums(pts, w, a, k)
+        assert np.array_equal(sums, reference)
+        assert np.array_equal(sums[5], np.zeros(d + 1))
 
 
 def _reseed(pts, weights, assignment, centers, influence, block_weights, rng, p=1):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.influence import adapt_influence, erode_influence, estimate_cluster_diameters
+from repro.core.assign import diameter_partial_sums
+from repro.core.influence import adapt_influence, erode_influence
 
 
 class TestAdaptInfluence:
@@ -88,6 +89,17 @@ class TestErosion:
             erode_influence(np.ones(1), np.array([-1.0]), 1.0)
 
 
+def _diameters(pts, assign, centers, weights=None):
+    """Per-cluster diameter estimate as the Algorithm 2 loop's erosion step
+    computes it: 2 x the rms radius from the rank-local partial sums."""
+    k = centers.shape[0]
+    w = np.ones(pts.shape[0]) if weights is None else weights
+    sums = diameter_partial_sums(pts, w, assign, centers)
+    sq, cnts = sums[:k], sums[k:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return 2.0 * np.sqrt(np.where(cnts > 0, sq / np.maximum(cnts, 1e-300), 0.0))
+
+
 class TestDiameterEstimate:
     def test_uniform_disk(self):
         rng = np.random.default_rng(0)
@@ -96,20 +108,22 @@ class TestDiameterEstimate:
         pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
         assign = np.zeros(4000, dtype=np.int64)
         centers = np.zeros((1, 2))
-        est = estimate_cluster_diameters(pts, assign, centers)
+        est = _diameters(pts, assign, centers)
         # rms radius of unit disk = 1/sqrt(2) -> estimate = sqrt(2) ~ 1.41 (true diameter 2)
         assert 1.2 < est[0] < 1.6
 
     def test_empty_cluster_zero(self):
         pts = np.random.default_rng(1).random((10, 2))
         assign = np.zeros(10, dtype=np.int64)
-        est = estimate_cluster_diameters(pts, assign, np.zeros((2, 2)))
-        assert est[1] == 0.0
+        centers = np.zeros((2, 2))
+        sums = diameter_partial_sums(pts, np.ones(10), assign, centers)
+        assert sums[1] == 0.0 and sums[3] == 0.0  # no squared radius, no weight
+        assert _diameters(pts, assign, centers)[1] == 0.0
 
     def test_weighted(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
         assign = np.zeros(2, dtype=np.int64)
         centers = np.array([[0.0, 0.0]])
-        heavy_far = estimate_cluster_diameters(pts, assign, centers, weights=np.array([1.0, 10.0]))
-        heavy_near = estimate_cluster_diameters(pts, assign, centers, weights=np.array([10.0, 1.0]))
+        heavy_far = _diameters(pts, assign, centers, weights=np.array([1.0, 10.0]))
+        heavy_near = _diameters(pts, assign, centers, weights=np.array([10.0, 1.0]))
         assert heavy_far[0] > heavy_near[0]

@@ -57,9 +57,6 @@ class TestCosts:
         assert self.m.penalty(1024) == 1.0
         assert self.m.penalty(1025) == 2.0
 
-    def test_point_to_point(self):
-        assert self.m.point_to_point(1000) == pytest.approx(1e-6 + 1e-6)
-
     def test_compute(self):
         m = MachineModel(compute_rate=1e6)
         assert m.compute(2e6) == pytest.approx(2.0)

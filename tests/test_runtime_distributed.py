@@ -113,7 +113,7 @@ class TestOneRankInvariant:
         "no-erosion": {"use_erosion": False},
     }
 
-    @pytest.mark.parametrize("kernel_backend", ["numpy", "numba", "torch-cpu"])
+    @pytest.mark.parametrize("kernel_backend", ["numpy", "numba"])
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("weighted", [False, True])
     def test_serial_equals_one_rank(self, case, weighted, kernel_backend):
