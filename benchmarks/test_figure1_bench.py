@@ -5,6 +5,8 @@ tool's wall-clock on the same mesh — the per-tool time ordering (HSFC/MJ
 fastest, Geographer slowest-but-seconds) should match Tables 1-2.
 """
 
+import os
+
 import pytest
 
 from repro.experiments import figure1
@@ -33,6 +35,7 @@ def test_figure1_render_panels(benchmark, emit, results_dir):
     )
     emit(
         "figure1_panels",
-        "\n".join(f"{name}: {path}" for name, path in outputs.items()),
+        "\n".join(f"{name}: {os.path.relpath(path, results_dir)}"
+                  for name, path in outputs.items()),
     )
     assert len(outputs) == len(PAPER_TOOLS) + 1

@@ -21,8 +21,7 @@ import pytest
 from repro.core.assign import assign_points
 from repro.core.bounds import init_bounds
 from repro.core.config import BalancedKMeansConfig
-from repro.core.kernels import HAVE_NUMBA, SweepWorkspace
-from repro.core.xp import available_kernel_backends
+from repro.core.kernels import SweepWorkspace
 from repro.geometry.boxes import BoundingBox
 from repro.geometry.distances import top2_effective, top2_effective_reference
 from repro.metrics.commvolume import comm_volumes
@@ -193,7 +192,6 @@ _BACKEND_OF = {
     "sweep_legacy_pruned": "reference",
     "sweep_engine_full": "numpy",
     "sweep_engine_pruned": "numpy",
-    "sweep_engine_full_numba": "numba",
 }
 
 
@@ -214,7 +212,7 @@ def test_bench_sweep_legacy_pruned(benchmark, sweep_workload):
 def test_bench_sweep_engine_full(benchmark, sweep_workload):
     """New path, pruning off: squared-space kernel + cached norms/scratch."""
     pts, centers, influence = sweep_workload
-    cfg = BalancedKMeansConfig(use_bounds=False, use_box_pruning=False, kernel_backend="numpy")
+    cfg = BalancedKMeansConfig(use_bounds=False, use_box_pruning=False)
     workspace, assignment, ub, lb = _engine_sweep_arrays(pts, SWEEP_K, cfg)
     benchmark(lambda: assign_points(pts, centers, influence, assignment, ub, lb, cfg, workspace=workspace))
     _record("sweep_engine_full", benchmark.stats.stats.min, "numpy")
@@ -223,20 +221,10 @@ def test_bench_sweep_engine_full(benchmark, sweep_workload):
 def test_bench_sweep_engine_pruned(benchmark, sweep_workload):
     """New path with the static-block boxes cached in the workspace."""
     pts, centers, influence = sweep_workload
-    cfg = BalancedKMeansConfig(use_bounds=False, kernel_backend="numpy")
+    cfg = BalancedKMeansConfig(use_bounds=False)
     workspace, assignment, ub, lb = _engine_sweep_arrays(pts, SWEEP_K, cfg)
     benchmark(lambda: assign_points(pts, centers, influence, assignment, ub, lb, cfg, workspace=workspace))
     _record("sweep_engine_pruned", benchmark.stats.stats.min, "numpy")
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_bench_sweep_engine_full_numba(benchmark, sweep_workload):
-    pts, centers, influence = sweep_workload
-    cfg = BalancedKMeansConfig(use_bounds=False, use_box_pruning=False, kernel_backend="numba")
-    workspace, assignment, ub, lb = _engine_sweep_arrays(pts, SWEEP_K, cfg)
-    assign_points(pts, centers, influence, assignment, ub, lb, cfg, workspace=workspace)  # JIT warmup
-    benchmark(lambda: assign_points(pts, centers, influence, assignment, ub, lb, cfg, workspace=workspace))
-    _record("sweep_engine_full_numba", benchmark.stats.stats.min, "numba")
 
 
 def test_sweep_equivalence_and_emit_json(sweep_workload, bench_json_writer):
@@ -274,9 +262,6 @@ def test_sweep_equivalence_and_emit_json(sweep_workload, bench_json_writer):
         "workload": {"n": SWEEP_N, "k": SWEEP_K, "d": SWEEP_D,
                      "legacy_chunk_size": LEGACY_CHUNK,
                      "engine_chunk_size": BalancedKMeansConfig().chunk_size},
-        # which kernel backends this machine could measure: entries for the
-        # others are absent, and check_regression.py skips them by name
-        "kernel_backends_available": list(available_kernel_backends()),
         "entries": [
             _record(name, seconds, _BACKEND_OF[name])
             for name, seconds in sorted(_SWEEP_TIMINGS.items())

@@ -119,17 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     backends = available_backends()
 
-    from repro.core.xp import kernel_backend_names
-
     d = sub.add_parser("distributed", help="distributed Geographer on an execution backend")
     d.add_argument("instance", help="registry instance name or .graph file path")
     d.add_argument("-k", type=int, default=16, help="number of blocks (default 16)")
     d.add_argument("-p", "--nranks", type=int, default=4, help="ranks (default 4)")
     d.add_argument("--backend", choices=backends, default=None,
                    help="execution backend (default: $REPRO_BACKEND, then virtual)")
-    d.add_argument("--kernel-backend", choices=kernel_backend_names(), default=None,
-                   help="sweep kernel per rank (default: $REPRO_KERNEL_BACKEND, then "
-                        "numpy; numba falls back to numpy with a warning when not installed)")
     d.add_argument("--epsilon", type=float, default=0.03)
     d.add_argument("--scale", type=float, default=1.0)
     d.add_argument("--seed", type=int, default=0)
@@ -423,13 +418,11 @@ def _cmd_distributed(args) -> None:
         # checkpoint file alone
         provenance = {
             "instance": args.instance, "scale": args.scale, "seed": args.seed,
-            "epsilon": args.epsilon, "kernel_backend": args.kernel_backend,
-            "k": args.k, "nranks": args.nranks,
+            "epsilon": args.epsilon, "k": args.k, "nranks": args.nranks,
         }
     row, result = run_distributed_on_mesh(
         mesh, args.k, args.nranks, backend=args.backend,
         epsilon=args.epsilon, seed=args.seed,
-        kernel_backend=args.kernel_backend,
         checkpoint=args.checkpoint_dir, checkpoint_every=args.checkpoint_every,
         provenance=provenance,
     )
@@ -506,7 +499,6 @@ def _cmd_resume(args) -> None:
         row, result = run_distributed_on_mesh(
             mesh, int(provenance["k"]), nranks, backend=args.backend,
             epsilon=float(provenance["epsilon"]), seed=int(provenance["seed"]),
-            kernel_backend=provenance.get("kernel_backend"),
             checkpoint=checkpoint_dir, checkpoint_every=every,
             resume_from=args.checkpoint, provenance=provenance,
         )

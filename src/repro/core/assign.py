@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.core.config import BalancedKMeansConfig
 from repro.core.kernels import SweepWorkspace
-from repro.core.xp import resolve_kernel_backend
 
 __all__ = [
     "AssignStats",
@@ -248,38 +247,8 @@ def assign_points(
         raise ValueError(
             f"workspace was built for {workspace.points.shape} points, got {points.shape}"
         )
-    else:
-        configured = resolve_kernel_backend(getattr(config, "kernel_backend", "numpy"))
-        if workspace.backend != configured:
-            raise ValueError(
-                f"workspace was built for kernel backend {workspace.backend!r} but the "
-                f"config now resolves to {configured!r}; build a new SweepWorkspace to "
-                "switch backends"
-            )
     workspace.prepare(centers, influence)
     collect_delta = delta_out is not None and weights is not None
-
-    # -- fused numba path: one kernel call replaces the chunk orchestration --
-    if (
-        workspace.backend == "numba"
-        and workspace.has_static_blocks
-        and config.use_box_pruning
-    ):  # pragma: no cover - requires numba
-        evaluated, center_evals, delta, changed, blocks_active, blocks_total = workspace.fused_sweep(
-            assignment, ub, lb, config.use_bounds, weights if collect_delta else None
-        )
-        if collect_delta:
-            delta_out += delta
-        if stats is not None:
-            stats.sweeps += 1
-            stats.points_total += n
-            stats.points_skipped += n - evaluated
-            stats.center_evals += center_evals
-            stats.center_evals_possible += k * evaluated
-            stats.blocks_total += blocks_total
-            stats.blocks_skipped += blocks_total - blocks_active
-            stats.points_changed += changed
-        return evaluated
 
     # -- active-point selection ---------------------------------------------
     # In incremental mode with valid aggregates, the scan runs only inside

@@ -35,6 +35,16 @@ from repro.util.validation import check_k, check_points, check_weights, normaliz
 __all__ = ["balanced_kmeans", "compute_sfc_order"]
 
 
+def _is_permutation(order: np.ndarray) -> bool:
+    """True when the 1-D ``order`` holds every index ``0..len-1`` exactly once."""
+    n = order.shape[0]
+    if order.dtype.kind not in "iu" or order.min() < 0 or order.max() >= n:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[order] = True
+    return bool(seen.all())
+
+
 def compute_sfc_order(points: np.ndarray, config: BalancedKMeansConfig | None = None) -> np.ndarray:
     """The stable SFC sort order :func:`balanced_kmeans` derives from ``points``.
 
@@ -98,7 +108,8 @@ def balanced_kmeans(
         either way (workspace state only affects skip statistics).
     sfc_order:
         Optional precomputed :func:`compute_sfc_order` result for
-        ``points``; skips the per-call SFC index + argsort.  The caller
+        ``points``; skips the per-call SFC index + argsort.  It must be an
+        integer permutation of ``range(n)`` (checked), and the caller
         asserts it equals what this call would compute — a wrong order
         changes seeding and block locality (not correctness of balance,
         but results would differ from a cold call).
@@ -142,9 +153,12 @@ def balanced_kmeans(
                 with timers.stage("sfc_index"):
                     order = compute_sfc_order(pts, cfg)
             else:
-                order = np.asarray(sfc_order, dtype=np.int64)
+                order = np.asarray(sfc_order)
                 if order.shape != (n,):
                     raise ValueError(f"sfc_order must have shape ({n},), got {order.shape}")
+                if not _is_permutation(order):
+                    raise ValueError(f"sfc_order must be an integer permutation of range({n})")
+                order = order.astype(np.int64, copy=False)
             with timers.stage("redistribute"):
                 work_pts = pts[order]
                 work_w = w[order]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
-from repro.core.xp import kernel_backend_names
 from repro.sfc.curves import CURVE_NAMES
 
 __all__ = ["BalancedKMeansConfig"]
@@ -72,19 +71,6 @@ class BalancedKMeansConfig:
         only when *every* point in it is certified, so the probability
         decays with size — at the cost of a longer aggregate vector.
         Clipped to ``chunk_size`` (aggregates never span static blocks).
-    kernel_backend:
-        Kernel backend for the assignment sweep, validated against the
-        registry in :mod:`repro.core.xp`: ``"numpy"`` (default, vectorised
-        squared-space kernel) or ``"numba"`` (fused JIT loop avoiding the
-        dense ``chunk x k`` matrix).  Both run the same host sweep, bounds
-        and incremental engine.  Without numba installed, ``"numba"`` falls
-        back to ``"numpy"`` with a one-time warning naming the missing
-        dependency, so either name is safe to request; the
-        ``REPRO_KERNEL_BACKEND`` environment variable overrides this field.
-        The numba kernel's dot-product accumulation order differs from the
-        host GEMM, so its bounds can differ in the last ulp and an
-        assignment can flip at an exact floating-point near-tie; away from
-        ties the partitions agree.
     influence_floor / influence_ceil:
         Hard guards against degenerate influence values on pathological
         inputs.
@@ -105,7 +91,6 @@ class BalancedKMeansConfig:
     sfc_bits: int | None = None
     chunk_size: int = 2048
     incremental_block_size: int = 256
-    kernel_backend: str = "numpy"
     influence_floor: float = 1e-9
     influence_ceil: float = 1e9
 
@@ -134,11 +119,6 @@ class BalancedKMeansConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.incremental_block_size < 1:
             raise ValueError("incremental_block_size must be >= 1")
-        if self.kernel_backend not in kernel_backend_names():
-            raise ValueError(
-                f"unknown kernel_backend {self.kernel_backend!r}; "
-                f"registered: {', '.join(kernel_backend_names())}"
-            )
         if not (0 < self.influence_floor < 1 < self.influence_ceil):
             raise ValueError("need influence_floor < 1 < influence_ceil")
 

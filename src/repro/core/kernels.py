@@ -1,4 +1,4 @@
-"""Kernel engine for the assignment sweep: cached geometry + backend dispatch.
+"""Kernel engine for the assignment sweep: cached geometry + the top-2 kernel.
 
 The assignment sweep (Algorithm 1's inner loop) is the hot path of the whole
 partitioner, and most of its inputs are invariant across large parts of a
@@ -15,26 +15,9 @@ run:
   via ``out=`` kwargs.
 
 :class:`SweepWorkspace` owns all of that cached state and threads it through
-:func:`repro.core.assign.assign_points`; the actual top-2 reduction runs in
-squared space (see :mod:`repro.geometry.distances`) on one of the kernel
-backends registered in :mod:`repro.core.xp` (the single source of truth for
-backend names, availability probing and fallback):
-
-``"numpy"``
-    Vectorised two-pass masked ``argmin`` over the scaled squared-distance
-    matrix (the default; always available).
-``"numba"``
-    A fused JIT loop that computes the dot product, scaled comparison and
-    top-2 tracking per point without materialising the ``(chunk, k)``
-    matrix.  Falls back to ``"numpy"`` when numba is not installed (with a
-    one-time warning naming the missing dependency), so the backend switch
-    is safe to enable unconditionally.
-
-Both backends run the same host sweep over the same cached arrays, bounds
-and incremental aggregates; only the top-2 kernel differs.  The active
-backend is resolved once, at workspace construction, from
-``config.kernel_backend`` and the ``REPRO_KERNEL_BACKEND`` environment
-override (see :func:`repro.core.xp.resolve_kernel_backend`).
+:func:`repro.core.assign.assign_points`; the actual top-2 reduction is a
+vectorised two-pass masked ``argmin`` over the scaled squared-distance
+matrix (see :func:`repro.geometry.distances.top2_effective`).
 
 Static SFC block decomposition (§4.4 accelerated): the Algorithm 2 loop
 processes points in space-filling-curve order, so the workspace cuts them
@@ -79,10 +62,6 @@ cooperating pieces on top of the static blocks.
    assignments they changed, so block weights are maintained by addition
    instead of a full ``bincount`` per balance iteration (exact for
    integer-valued weights; see the config docstring).
-
-On the ``"numba"`` backend the whole sweep — sub-block filter, per-point
-bound test, masked top-2, bound writes and per-sub-block weight-delta
-accumulation — is fused into one ``prange`` kernel.
 """
 
 from __future__ import annotations
@@ -92,11 +71,10 @@ import weakref
 import numpy as np
 
 from repro.core.bounds import _eff_deltas, _influence_ratio
-from repro.core.xp import HAVE_NUMBA, resolve_kernel_backend
 from repro.geometry.boxes import block_bounds, blocks_min_max_sq
 from repro.geometry.distances import top2_effective
 
-__all__ = ["HAVE_NUMBA", "SweepWorkspace"]
+__all__ = ["SweepWorkspace"]
 
 # when at least this fraction of sub-blocks wakes for a sweep, the per-region
 # select/refresh machinery costs more than it saves: the filter parks itself
@@ -116,155 +94,6 @@ def _multi_arange(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         cml = np.cumsum(lens[:-1])
         out[cml] = starts[1:] - ends[:-1] + 1
     return np.cumsum(out)
-
-_NUMBA_KERNEL = None
-_NUMBA_SWEEP_KERNEL = None
-
-
-def _get_numba_kernel():
-    """Compile (once) and return the fused top-2 kernel."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:  # pragma: no cover - requires numba
-        from numba import njit
-
-        @njit(nogil=True, cache=False)
-        def _top2(points, centers, p_sq, c_sq, inv2, influence):
-            m, d = points.shape
-            k = centers.shape[0]
-            assign = np.empty(m, dtype=np.int64)
-            best = np.empty(m, dtype=np.float64)
-            second = np.empty(m, dtype=np.float64)
-            for i in range(m):
-                s0 = np.inf
-                s1 = np.inf
-                j0 = 0
-                j1 = -1
-                sq0 = 0.0
-                sq1 = 0.0
-                for j in range(k):
-                    dot = 0.0
-                    for dd in range(d):
-                        dot += points[i, dd] * centers[j, dd]
-                    sq = p_sq[i] - 2.0 * dot + c_sq[j]
-                    if sq < 0.0:
-                        sq = 0.0
-                    s = sq * inv2[j]
-                    if s < s0:
-                        s1 = s0
-                        j1 = j0
-                        sq1 = sq0
-                        s0 = s
-                        j0 = j
-                        sq0 = sq
-                    elif s < s1:
-                        s1 = s
-                        j1 = j
-                        sq1 = sq
-                assign[i] = j0
-                best[i] = np.sqrt(sq0) / influence[j0]
-                if j1 >= 0:
-                    second[i] = np.sqrt(sq1) / influence[j1]
-                else:
-                    second[i] = np.inf
-            return assign, best, second
-
-        _NUMBA_KERNEL = _top2
-    return _NUMBA_KERNEL
-
-
-def _get_numba_sweep_kernel():
-    """Compile (once) and return the fused whole-sweep kernel.
-
-    One ``prange`` over static blocks fuses the per-point Hamerly filter,
-    the masked top-2, the bound writes, the per-block weight-delta rows and
-    the post-sweep block-aggregate refresh — no Python chunk orchestration,
-    no ``(chunk, k)`` temporaries.  Inner loops mirror
-    :func:`_get_numba_kernel`'s accumulation order exactly (ascending center
-    index), so per-point results are bit-identical to the chunked numba
-    path.
-    """
-    global _NUMBA_SWEEP_KERNEL
-    if _NUMBA_SWEEP_KERNEL is None:  # pragma: no cover - requires numba
-        from numba import njit, prange
-
-        @njit(parallel=True, nogil=True, cache=False)
-        def _sweep(points, centers, p_sq, c_sq, inv2, influence, cand_mask,
-                   sub_start, sub_end, sub_block, active, assignment, ub, lb,
-                   weights, point_filter, collect_delta):
-            nsubs = sub_start.shape[0]
-            k = centers.shape[0]
-            d = points.shape[1]
-            deltas = np.zeros((nsubs, k))
-            evaluated = np.zeros(nsubs, dtype=np.int64)
-            changed = np.zeros(nsubs, dtype=np.int64)
-            cand_counts = np.zeros(nsubs, dtype=np.int64)
-            blk_min_gap = np.full(nsubs, np.inf)
-            blk_max_ub = np.full(nsubs, -np.inf)
-            for b in prange(nsubs):
-                if active[b] == 0:
-                    continue
-                parent = sub_block[b]
-                ncand = 0
-                for j in range(k):
-                    if cand_mask[parent, j]:
-                        ncand += 1
-                cand_counts[b] = ncand
-                for i in range(sub_start[b], sub_end[b]):
-                    if point_filter and ub[i] < lb[i]:
-                        continue
-                    evaluated[b] += 1
-                    s0 = np.inf
-                    s1 = np.inf
-                    j0 = 0
-                    j1 = -1
-                    sq0 = 0.0
-                    sq1 = 0.0
-                    for j in range(k):
-                        if not cand_mask[parent, j]:
-                            continue
-                        dot = 0.0
-                        for dd in range(d):
-                            dot += points[i, dd] * centers[j, dd]
-                        sq = p_sq[i] - 2.0 * dot + c_sq[j]
-                        if sq < 0.0:
-                            sq = 0.0
-                        s = sq * inv2[j]
-                        if s < s0:
-                            s1 = s0
-                            j1 = j0
-                            sq1 = sq0
-                            s0 = s
-                            j0 = j
-                            sq0 = sq
-                        elif s < s1:
-                            s1 = s
-                            j1 = j
-                            sq1 = sq
-                    old = assignment[i]
-                    assignment[i] = j0
-                    ub[i] = np.sqrt(sq0) / influence[j0]
-                    if j1 >= 0:
-                        lb[i] = np.sqrt(sq1) / influence[j1]
-                    else:
-                        lb[i] = np.inf
-                    if collect_delta and j0 != old:
-                        changed[b] += 1
-                        deltas[b, old] -= weights[i]
-                        deltas[b, j0] += weights[i]
-                mx = -np.inf
-                mn = np.inf
-                for i in range(sub_start[b], sub_end[b]):
-                    if ub[i] > mx:
-                        mx = ub[i]
-                    g = lb[i] - ub[i]
-                    if g < mn:
-                        mn = g
-                blk_max_ub[b] = mx
-                blk_min_gap[b] = mn
-            return deltas, evaluated, changed, cand_counts, blk_min_gap, blk_max_ub
-
-        _NUMBA_SWEEP_KERNEL = _sweep
-    return _NUMBA_SWEEP_KERNEL
 
 
 class SweepWorkspace:
@@ -293,14 +122,13 @@ class SweepWorkspace:
     the incremental block-bound aggregates are disabled there, since they
     only pay off when they survive across sweeps.
 
-    Input points are promoted to C-contiguous float64 on every backend.
+    Input points are promoted to C-contiguous float64.
     """
 
     def __init__(self, points: np.ndarray, config, k: int, ephemeral: bool = False):
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         self.k = int(k)
         self.config = config
-        self.backend = resolve_kernel_backend(getattr(config, "kernel_backend", "numpy"))
         self.points_sq = np.einsum("ij,ij->i", self.points, self.points)
         self._bufs: tuple[np.ndarray, np.ndarray] | None = None
         self._centers_ref: np.ndarray | None = None
@@ -379,8 +207,7 @@ class SweepWorkspace:
     #: warm workspace may serve e.g. partitions at different epsilons of the
     #: same session.
     _CONFIG_FIELDS = (
-        "kernel_backend", "chunk_size", "use_box_pruning",
-        "incremental_block_size", "use_bounds",
+        "chunk_size", "use_box_pruning", "incremental_block_size", "use_bounds",
     )
 
     def _config_signature(self, config) -> tuple:
@@ -393,7 +220,7 @@ class SweepWorkspace:
         keeps one per session) **only** for identical points, identical
         ``k``, and a config agreeing on every workspace-relevant field
         (:attr:`_CONFIG_FIELDS`) — the cached ``points_sq`` and static
-        block boxes belong to those points, and the backend/chunking come
+        block boxes belong to those points, and the chunking and pruning come
         from that config.  The value comparison makes a reused workspace
         safe even when the caller re-derives the sorted point array each
         call.  Callers must still :meth:`invalidate_block_bounds` before
@@ -751,22 +578,6 @@ class SweepWorkspace:
         ``chunk_points``.
         """
         p_sq = self.points_sq[chunk_idx]
-        if self.backend == "numba":  # pragma: no cover - requires numba
-            kernel = _get_numba_kernel()
-            if candidate_idx is None:
-                centers, c_sq = self.centers, self.centers_sq
-                inv2, infl = self.inv_influence_sq, self.influence
-            else:
-                centers = self.centers[candidate_idx]
-                c_sq = self.centers_sq[candidate_idx]
-                inv2 = self.inv_influence_sq[candidate_idx]
-                infl = self.influence[candidate_idx]
-            assign, best, second = kernel(
-                np.ascontiguousarray(chunk_points), centers, p_sq, c_sq, inv2, infl
-            )
-            if candidate_idx is not None:
-                assign = np.asarray(candidate_idx, dtype=np.int64)[assign]
-            return assign, best, second
         sq_out = scaled_out = None
         if candidate_idx is None and chunk_points.shape[0] <= self.block_size:
             sq_out, scaled_out = self._scratch()
@@ -780,67 +591,4 @@ class SweepWorkspace:
             inv_influence_sq=self.inv_influence_sq,
             sq_out=sq_out,
             scaled_out=scaled_out,
-        )
-
-    def fused_sweep(
-        self,
-        assignment: np.ndarray,
-        ub: np.ndarray,
-        lb: np.ndarray,
-        use_bounds: bool,
-        weights: np.ndarray | None = None,
-    ) -> tuple[int, int, np.ndarray | None, int, int, int]:
-        """One whole sweep in the fused numba kernel (sub-block layout).
-
-        Runs one ``prange`` kernel over the woken sub-blocks (all of them
-        when the aggregates are invalid or most sub-blocks wake) that fuses
-        the per-point filter, masked top-2, bound writes, per-sub-block
-        weight-delta rows and the aggregate refresh.  Returns ``(evaluated, center_evals, delta, changed,
-        subs_active, subs_total)`` where ``delta`` is the per-cluster weight
-        delta of the changed assignments (``None`` unless ``weights`` is
-        given), summed over sub-blocks in index order.
-        """  # pragma: no cover - requires numba
-        kernel = _get_numba_sweep_kernel()
-        filtered = (use_bounds and self.incremental and self.aggregates_valid
-                    and self._check_bound_arrays(assignment, ub, lb))
-        point_filter = bool(use_bounds)
-        if filtered:
-            mask = self.sub_min_gap <= 0.0
-            woken = np.flatnonzero(mask)
-            if woken.size >= _WAKE_BYPASS_FRACTION * self.n_subs:
-                active = np.ones(self.n_subs, dtype=np.uint8)
-            else:
-                active = mask.astype(np.uint8)
-        else:
-            active = np.ones(self.n_subs, dtype=np.uint8)
-        cand_mask = self._block_cand_mask
-        if cand_mask is None:
-            cand_mask = np.ones((self.n_blocks, self.k), dtype=bool)
-        collect = weights is not None
-        w = np.ascontiguousarray(weights, dtype=np.float64) if collect else np.empty(0)
-        deltas, evaluated, changed, cand_counts, sub_min_gap, sub_max_ub = kernel(
-            self.points, self.centers, self.points_sq, self.centers_sq,
-            self.inv_influence_sq, self.influence, cand_mask,
-            self.sub_starts, self.sub_ends, self.sub_blocks, active,
-            assignment, ub, lb, w, point_filter, collect,
-        )
-        if self.incremental:
-            act = active.astype(bool)
-            if filtered:
-                # skipped sub-blocks keep their previous (valid) aggregates
-                self.sub_min_gap[act] = sub_min_gap[act]
-                self.sub_max_ub[act] = sub_max_ub[act]
-            else:
-                # every sub-block was evaluated: full (exact) refresh
-                self.sub_min_gap = sub_min_gap
-                self.sub_max_ub = sub_max_ub
-                self._stamp_bound_arrays(assignment, ub, lb)
-        delta = deltas.sum(axis=0) if collect else None
-        return (
-            int(evaluated.sum()),
-            int((evaluated * cand_counts).sum()),
-            delta,
-            int(changed.sum()),
-            int(active.sum()),
-            self.n_subs,
         )

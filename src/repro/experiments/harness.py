@@ -83,7 +83,6 @@ def run_distributed_on_mesh(
     epsilon: float = 0.03,
     seed: int = 0,
     with_spmv: bool = True,
-    kernel_backend: str | None = None,
     checkpoint=None,
     checkpoint_every: int = 1,
     resume_from=None,
@@ -98,10 +97,6 @@ def run_distributed_on_mesh(
     on the process and mpi backends; ``backend="mpi"`` requires an SPMD
     launch through :mod:`repro.runtime.mpi_main`).
 
-    ``kernel_backend`` selects the per-rank sweep kernel, ``"numpy"`` or
-    ``"numba"`` (the names registered in :mod:`repro.core.xp`; default: the
-    config default, still overridable via ``REPRO_KERNEL_BACKEND``).
-
     ``checkpoint``/``checkpoint_every``/``resume_from``/``provenance`` are
     forwarded to
     :func:`~repro.runtime.distributed_kmeans.distributed_balanced_kmeans`;
@@ -114,8 +109,6 @@ def run_distributed_on_mesh(
     from repro.runtime.distributed_kmeans import distributed_balanced_kmeans
 
     cfg = BalancedKMeansConfig(epsilon=epsilon)
-    if kernel_backend is not None:
-        cfg = cfg.with_(kernel_backend=kernel_backend)
     start = time.perf_counter()
     result = distributed_balanced_kmeans(
         mesh.coords, k, nranks, weights=mesh.node_weights, config=cfg,

@@ -203,11 +203,14 @@ def _run_context(nranks, comm, backend, machine, topology, *, cfg, rng, n, k, ki
                  input_digest, checkpoint, checkpoint_every, resume_from, provenance, load):
     """Set-up shared by the in-memory and out-of-core runners.
 
-    Validates the checkpoint arguments, loads and validates the resume point
-    (``load`` reads it), and opens the communicator.  Yields ``(grid, gen,
-    checkpoints)``.  A comm created here is closed on exit, even on error; a
-    reused comm gets its stage label restored.
+    Validates the rank count and the checkpoint arguments, loads and
+    validates the resume point (``load`` reads it), and opens the
+    communicator.  Yields ``(grid, gen, checkpoints)``.  A comm created here
+    is closed on exit, even on error; a reused comm gets its stage label
+    restored.
     """
+    if nranks > n:
+        raise ValueError(f"nranks={nranks} exceeds the number of points n={n}")
     gen = ensure_rng(rng)
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
@@ -593,6 +596,8 @@ def _kmeans_loop(
         centers = np.array(centers, dtype=np.float64, copy=True)
         if centers.shape != (k, dim):
             raise ValueError(f"warm-start centers must have shape ({k}, {dim})")
+        if not np.isfinite(centers).all():
+            raise ValueError("warm-start centers must be finite")
     elif seeds is not None:
         centers = np.array(seeds, dtype=np.float64, copy=True)
     else:

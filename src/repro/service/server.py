@@ -117,8 +117,8 @@ class PartitionService:
     config:
         The :class:`BalancedKMeansConfig` every request runs under (the
         per-request ``epsilon`` overrides the config's, exactly like
-        :class:`GeographerPartitioner`); also selects the kernel backend
-        the warm workspaces are built for.
+        :class:`GeographerPartitioner`); the warm workspaces are built
+        for it.
     checkpoint_dir:
         Root directory for per-session checkpoints — each session writes
         into its own ``run_id`` namespace (the concurrency-safe layout of

@@ -13,7 +13,6 @@ out to ``mpiexec -n 4`` and skips itself when MPI is unavailable.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -81,23 +80,20 @@ class TestKMeansEquivalence:
         np.testing.assert_array_equal(virt.centers, proc.centers)
 
     @pytest.mark.parametrize("nranks", RANK_COUNTS)
-    @pytest.mark.parametrize("kernel_backend", ["numpy", "numba"])
-    def test_incremental_engine_equivalence(self, nranks, kernel_backend):
-        """{no bounds, bounds} x {numpy, numba} x {virtual, process}: the
-        incremental sweep engine, which runs with the bounds, changes no
-        result on any backend.
+    def test_incremental_engine_equivalence(self, nranks):
+        """{no bounds, bounds} x {virtual, process}: the incremental sweep
+        engine, which runs with the bounds, changes no result on any
+        backend.
 
         Integer weights keep every weight sum exact in float64, so even the
-        delta-maintained block weights cannot drift; ``kernel_backend``
-        "numba" silently degrades to numpy where numba is not installed
-        (the combination is then covered by construction).
+        delta-maintained block weights cannot drift.
         """
         rng = np.random.default_rng(21)
         pts = rng.random((900, 2))
         w = rng.integers(1, 5, 900).astype(np.float64)
         runs = {}
         for use_bounds in (False, True):
-            cfg = BalancedKMeansConfig(use_bounds=use_bounds, kernel_backend=kernel_backend)
+            cfg = BalancedKMeansConfig(use_bounds=use_bounds)
             for backend in ("virtual", "process"):
                 runs[(use_bounds, backend)] = distributed_balanced_kmeans(
                     pts, k=8, nranks=nranks, weights=w, rng=7, config=cfg, backend=backend
@@ -218,60 +214,6 @@ class TestMPIEquivalence:
         assert got["_supersteps"] > 0
         reference = equivalence_cases(nranks, backend="virtual")
         assert compare_cases(got, reference, label=f"p={nranks}: ") == []
-
-
-class TestKernelBackendEquivalence:
-    """The kernel-backend equivalence gate (tentpole acceptance).
-
-    Every registered kernel backend must reproduce the numpy partition
-    through the distributed runtime bit for bit: ``numpy`` and ``numba``
-    run the same host sweep over the same arrays.  An unavailable backend
-    degrades to numpy (with a warning) and is covered by construction; CI's
-    numba step runs this class with numba installed.
-    """
-
-    KERNEL_BACKENDS = ("numpy", "numba")
-
-    @pytest.mark.parametrize("nranks", (1, 4))
-    @pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
-    def test_matches_numpy_partition(self, nranks, kernel_backend):
-        rng = np.random.default_rng(17)
-        pts = rng.random((900, 2))
-        w = rng.integers(1, 5, 900).astype(np.float64)
-        k = 8
-        ref = distributed_balanced_kmeans(
-            pts, k=k, nranks=nranks, weights=w, rng=7,
-            config=BalancedKMeansConfig(kernel_backend="numpy"), backend="virtual")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # fallback notices
-            got = distributed_balanced_kmeans(
-                pts, k=k, nranks=nranks, weights=w, rng=7,
-                config=BalancedKMeansConfig(kernel_backend=kernel_backend),
-                backend="virtual")
-        np.testing.assert_array_equal(ref.assignment, got.assignment)
-        for b in range(k):  # integer weights: block weights exactly equal
-            assert w[ref.assignment == b].sum() == w[got.assignment == b].sum()
-        np.testing.assert_array_equal(ref.centers, got.centers)
-        assert ref.imbalance == got.imbalance
-        assert ref.iterations == got.iterations
-
-    @pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
-    def test_process_backend_ranks_agree(self, kernel_backend):
-        """Kernel backends compose with the process execution backend: each
-        worker rank resolves the same engine and the combined result still
-        matches the numpy/virtual reference."""
-        pts = _pts(n=600, seed=23)
-        ref = distributed_balanced_kmeans(
-            pts, k=5, nranks=2, rng=9,
-            config=BalancedKMeansConfig(kernel_backend="numpy"), backend="virtual")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got = distributed_balanced_kmeans(
-                pts, k=5, nranks=2, rng=9,
-                config=BalancedKMeansConfig(kernel_backend=kernel_backend),
-                backend="process")
-        np.testing.assert_array_equal(ref.assignment, got.assignment)
-        np.testing.assert_array_equal(ref.centers, got.centers)
 
 
 class TestEnvSelection:

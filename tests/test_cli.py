@@ -57,11 +57,6 @@ class TestCommands:
         with pytest.raises(SystemExit, match="repro resume: no valid checkpoint"):
             main(["resume", str(tmp_path)])
 
-    def test_unknown_kernel_backend_env_exits_cleanly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "torch-cuda")
-        with pytest.raises(SystemExit, match="REPRO_KERNEL_BACKEND: unknown kernel backend 'torch-cuda'"):
-            main(["distributed", "rgg2d", "--scale", "0.05", "-k", "4", "-p", "2"])
-
     def test_partition_metis_file(self, tmp_path, capsys):
         from repro.mesh.grid import grid_mesh
         from repro.mesh.io import write_coords, write_metis

@@ -27,6 +27,13 @@ class TestConfig:
         cfg = BalancedKMeansConfig().with_(epsilon=0.05)
         assert cfg.epsilon == 0.05
 
+    def test_digest_pinned(self):
+        # Every checkpoint stores this digest and resume rejects a mismatch:
+        # changing these values makes every existing checkpoint
+        # unresumable, so announce such a change in CHANGES.md.
+        assert BalancedKMeansConfig().digest() == "8111d8a3f568668e"
+        assert BalancedKMeansConfig(use_bounds=False).digest() == "b9dcc20aad23f16d"
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -42,8 +49,6 @@ class TestConfig:
             {"sfc_curve": "peano"},
             {"sfc_bits": 0},
             {"sfc_bits": -3},
-            {"kernel_backend": "torch-cpu"},
-            {"kernel_backend": "torch-cuda"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -312,8 +317,14 @@ class TestBalancedKMeans:
         assert res.imbalance <= 0.03 + 1e-9
 
     def test_warm_start_bad_shape(self):
-        with pytest.raises(ValueError):
-            balanced_kmeans(_uniform(100), 4, centers=np.zeros((3, 2)))
+        pts = _uniform(100)
+        with pytest.raises(ValueError, match="warm-start centers must have shape"):
+            balanced_kmeans(pts, 4, centers=np.zeros((3, 2)))
+        for bad in (np.nan, np.inf):
+            centers = _uniform(4, seed=1)
+            centers[0, 0] = bad
+            with pytest.raises(ValueError, match="warm-start centers must be finite"):
+                balanced_kmeans(pts, 4, centers=centers)
 
     def test_target_weights_footnote1(self):
         """Heterogeneous targets (paper footnote 1): 2:1:1:... split."""
@@ -420,8 +431,14 @@ class TestWarmWorkspace:
 
     def test_bad_sfc_order_shape_rejected(self):
         pts = _uniform(500, seed=36)
-        with pytest.raises(ValueError, match="sfc_order"):
+        with pytest.raises(ValueError, match="sfc_order must have shape"):
             balanced_kmeans(pts, 4, rng=0, sfc_order=np.arange(7))
+        duplicated = np.arange(500)
+        duplicated[:10] = duplicated[10:20]
+        out_of_range = np.arange(1, 501)
+        for bad in (duplicated, out_of_range, -np.arange(500), np.arange(500.0)):
+            with pytest.raises(ValueError, match="sfc_order must be an integer permutation"):
+                balanced_kmeans(pts, 4, rng=0, sfc_order=bad)
 
     def test_workspace_matches_ignores_non_workspace_fields(self):
         from repro.core.kernels import SweepWorkspace

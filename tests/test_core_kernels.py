@@ -2,8 +2,8 @@
 
 The central claim: the squared-space kernel with every cache enabled returns
 *bit-identical* ``(assign, ub, lb)`` to the reference
-``effective_distances``-based path, across backends, candidate subsets and
-workspace configurations.
+``effective_distances``-based path, across candidate subsets and workspace
+configurations.
 """
 
 import numpy as np
@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assign import assign_points
+from repro.core.balanced_kmeans import balanced_kmeans
 from repro.core.bounds import init_bounds
 from repro.core.config import BalancedKMeansConfig
-from repro.core.kernels import HAVE_NUMBA, SweepWorkspace
-from repro.core.xp import resolve_kernel_backend
+from repro.core.kernels import SweepWorkspace
 from repro.geometry.boxes import BoundingBox, block_bounds, blocks_min_max_sq
 from repro.geometry.distances import (
     effective_distances,
@@ -99,58 +99,6 @@ class TestSquaredSpaceBitIdentity:
             top2_effective(pts, centers, np.array([1.0, 0.0, 1.0, 1.0]))
 
 
-class TestBackendResolution:
-    def test_numpy_always_available(self):
-        assert resolve_kernel_backend("numpy") == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_kernel_backend("cuda")
-        with pytest.raises(ValueError):
-            BalancedKMeansConfig(kernel_backend="cuda")
-
-    def test_numba_absent_falls_back_with_one_warning(self):
-        """Requesting numba must never fail — it degrades to numpy.
-
-        Since the kernel-backend registry the degradation is no longer
-        silent: the first resolution warns once, naming the missing
-        dependency; subsequent resolutions stay quiet.
-        """
-        import warnings
-
-        from repro.core import xp
-
-        xp._reset_fallback_warnings()
-        if HAVE_NUMBA:
-            assert resolve_kernel_backend("numba") == "numba"
-            resolved = "numba"
-        else:
-            with pytest.warns(RuntimeWarning, match="numba"):
-                resolved = resolve_kernel_backend("numba")
-            assert resolved == "numpy"
-            with warnings.catch_warnings():  # one-time: later resolutions are silent
-                warnings.simplefilter("error")
-                assert resolve_kernel_backend("numba") == "numpy"
-        cfg = BalancedKMeansConfig(kernel_backend="numba")
-        ws = SweepWorkspace(np.random.default_rng(0).random((64, 2)), cfg, 4)
-        assert ws.backend == resolved
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_numba_matches_numpy(self):
-        pts, centers, influence = _random_case(4, 500, 12, 2)
-        cfg_np = BalancedKMeansConfig(kernel_backend="numpy", use_box_pruning=False)
-        cfg_nb = cfg_np.with_(kernel_backend="numba")
-        outs = []
-        for cfg in (cfg_np, cfg_nb):
-            assignment = np.zeros(len(pts), dtype=np.int64)
-            ub, lb = init_bounds(len(pts))
-            assign_points(pts, centers, influence, assignment, ub, lb, cfg)
-            outs.append((assignment, ub, lb))
-        assert np.array_equal(outs[0][0], outs[1][0])
-        assert np.allclose(outs[0][1], outs[1][1])
-        assert np.allclose(outs[0][2], outs[1][2])
-
-
 class TestSweepWorkspace:
     def test_phase_cache_refreshes_on_new_centers(self):
         pts, centers, influence = _random_case(5, 400, 8, 2)
@@ -186,6 +134,19 @@ class TestSweepWorkspace:
                 out_shared.append((assignment.copy(), ub.copy(), lb.copy()))
             for a, b in zip(out_shared[0], out_shared[1]):
                 assert np.array_equal(a, b)
+
+    def test_reuse_across_sweeps(self):
+        """A second sweep on the unchanged problem only tightens the bounds."""
+        pts = np.random.default_rng(17).random((128, 2))
+        cfg = BalancedKMeansConfig()
+        ws = SweepWorkspace(pts, cfg, 4)
+        centers = ws.points[np.random.default_rng(0).choice(128, 4, replace=False)].copy()
+        assignment = np.zeros(128, dtype=np.int64)
+        ub, lb = init_bounds(128)
+        first = assign_points(ws.points, centers, np.ones(4), assignment, ub, lb, cfg, workspace=ws)
+        second = assign_points(ws.points, centers, np.ones(4), assignment, ub, lb, cfg, workspace=ws)
+        assert first == 128
+        assert second <= first
 
     def test_static_blocks_only_with_box_pruning(self):
         pts = np.random.default_rng(8).random((300, 2))
@@ -245,6 +206,33 @@ class TestSweepWorkspace:
             ws.begin_phase(np.zeros((5, 2)))
 
 
+class TestInputNormalization:
+    """float32 / non-contiguous inputs are promoted to C-contiguous float64."""
+
+    def test_float32_points_promoted(self):
+        cfg = BalancedKMeansConfig()
+        pts32 = np.random.default_rng(3).random((300, 2)).astype(np.float32)
+        ws = SweepWorkspace(pts32, cfg, 4)
+        assert ws.points.dtype == np.float64
+        assert ws.points.flags["C_CONTIGUOUS"]
+        ref = balanced_kmeans(pts32.astype(np.float64), 4, config=cfg, rng=1)
+        got = balanced_kmeans(pts32, 4, config=cfg, rng=1)
+        np.testing.assert_array_equal(ref.assignment, got.assignment)
+        np.testing.assert_array_equal(ref.centers, got.centers)
+
+    def test_noncontiguous_points_promoted(self):
+        cfg = BalancedKMeansConfig()
+        base = np.random.default_rng(4).random((600, 4))
+        strided = base[::2, ::2]  # non-contiguous view, shape (300, 2)
+        assert not strided.flags["C_CONTIGUOUS"]
+        ws = SweepWorkspace(strided, cfg, 4)
+        assert ws.points.flags["C_CONTIGUOUS"]
+        ref = balanced_kmeans(np.ascontiguousarray(strided), 4, config=cfg, rng=2)
+        got = balanced_kmeans(strided, 4, config=cfg, rng=2)
+        np.testing.assert_array_equal(ref.assignment, got.assignment)
+        np.testing.assert_array_equal(ref.centers, got.centers)
+
+
 class TestBlockBoxes:
     def test_block_bounds_cover_blocks(self):
         pts = np.random.default_rng(12).random((250, 3))
@@ -278,16 +266,3 @@ class TestBlockBoxes:
             block_bounds(np.empty((0, 2)), 8)
         with pytest.raises(ValueError):
             block_bounds(np.random.rand(5, 2), 0)
-
-
-class TestEndToEndBackendSwitch:
-    def test_balanced_kmeans_accepts_backend_config(self):
-        from repro.core.balanced_kmeans import balanced_kmeans
-
-        pts = np.random.default_rng(15).random((2000, 2))
-        res_np = balanced_kmeans(pts, 8, config=BalancedKMeansConfig(kernel_backend="numpy"), rng=0)
-        # "numba" must work whether or not numba is installed (silent fallback)
-        res_nb = balanced_kmeans(pts, 8, config=BalancedKMeansConfig(kernel_backend="numba"), rng=0)
-        assert res_nb.imbalance <= 0.031
-        if not HAVE_NUMBA:  # fallback means literally the same code path
-            assert np.array_equal(res_np.assignment, res_nb.assignment)

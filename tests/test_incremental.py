@@ -1,13 +1,11 @@
 """Property tests for the incremental sweep engine.
 
-Three contracts, exercised over randomized influence/relocation sequences:
+Two contracts, exercised over randomized influence/relocation sequences:
 
 (a) the delta-maintained block weights equal ``np.bincount`` bit-for-bit
     (integer-valued weights, so every sum is exact in float64);
 (b) the sub-block filter is conservative: a sub-block it certifies skipped
-    contains only points the per-point Hamerly filter would also skip;
-(c) the fused numba sweep matches the numpy engine (skipped cleanly when
-    numba is absent).
+    contains only points the per-point Hamerly filter would also skip.
 
 Plus unit tests for the satellite pieces: the vectorised static-block
 chunking, sparse-chunk merging, candidate-local relaxations, and the
@@ -31,7 +29,7 @@ from repro.core.assign import (
 from repro.core.balanced_kmeans import balanced_kmeans
 from repro.core.bounds import init_bounds, relax_for_influence, relax_for_movement
 from repro.core.config import BalancedKMeansConfig
-from repro.core.kernels import HAVE_NUMBA, SweepWorkspace
+from repro.core.kernels import SweepWorkspace
 from repro.geometry.distances import effective_distances
 from repro.runtime.distributed_kmeans import distributed_balanced_kmeans
 from repro.sfc.curves import sfc_index
@@ -148,44 +146,6 @@ class TestBlockFilterConservative:
             assert np.array_equal(assignment, expected)
 
         _drive_sequence(pts, weights, centers, rng, cfg, steps=6, check=check)
-
-
-class TestFusedNumbaSweep:
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_fused_sweep_matches_numpy_engine(self):
-        """(c) the fused numba sweep agrees with the numpy engine: identical
-        assignments and weight deltas, bounds equal to float tolerance (the
-        JIT dot product may differ in the last ulp from the GEMM)."""
-        pts, weights, centers, rng = _sorted_workload(5, 4000, 16)
-        outs = {}
-        for backend in ("numpy", "numba"):
-            cfg = BalancedKMeansConfig(chunk_size=256, incremental_block_size=64,
-                                       kernel_backend=backend)
-            k = 16
-            ws = SweepWorkspace(pts, cfg, k)
-            assignment = np.zeros(4000, dtype=np.int64)
-            ub, lb = init_bounds(4000)
-            influence = np.ones(k)
-            assign_points(pts, centers, influence, assignment, ub, lb, cfg, workspace=ws)
-            old = influence.copy()
-            influence = influence * np.linspace(0.95, 1.05, k)
-            if not ws.queue_relax_influence(assignment, ub, lb, old, influence):
-                relax_for_influence(ub, lb, assignment, old, influence)
-            delta = np.zeros(k)
-            assign_points(pts, centers, influence, assignment, ub, lb, cfg,
-                          workspace=ws, weights=weights, delta_out=delta)
-            outs[backend] = (assignment.copy(), ub.copy(), lb.copy(), delta)
-        assert np.array_equal(outs["numpy"][0], outs["numba"][0])
-        assert np.allclose(outs["numpy"][1], outs["numba"][1])
-        assert np.allclose(outs["numpy"][2], outs["numba"][2])
-        assert np.array_equal(outs["numpy"][3], outs["numba"][3])
-
-    def test_numba_request_never_fails(self):
-        """Without numba the backend degrades silently and stays incremental."""
-        cfg = BalancedKMeansConfig(kernel_backend="numba")
-        ws = SweepWorkspace(np.random.default_rng(0).random((600, 2)), cfg, 6)
-        assert ws.backend == ("numba" if HAVE_NUMBA else "numpy")
-        assert ws.incremental
 
 
 class TestCandidateLocalRelax:

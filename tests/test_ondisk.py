@@ -100,6 +100,12 @@ class TestDispatch:
         with pytest.raises(ValueError, match="weights"):
             distributed_balanced_kmeans(ds, 3, 2, weights=w, config=CFG, rng=0)
 
+    def test_more_ranks_than_points_rejected(self, tmp_path):
+        pts, w = _points(n=6, seed=20)
+        ds = write_sharded(tmp_path / "ds", pts, weights=w, shard_rows=3)
+        with pytest.raises(ValueError, match="nranks=8 exceeds the number of points n=6"):
+            ondisk_distributed_kmeans(ds, 3, 8, config=CFG, rng=0, spill_dir=tmp_path / "spill")
+
 
 class TestOndiskResume:
     def test_resume_from_every_checkpoint_is_bit_identical(self, tmp_path):

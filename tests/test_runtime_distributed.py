@@ -92,15 +92,9 @@ class TestDistributedKMeans:
         res = distributed_balanced_kmeans(pts, k=4, nranks=4, config=cfg, rng=21)
         assert res.imbalance <= 0.031
 
-
-def _resolves_to(kernel_backend):
-    import warnings
-
-    from repro.core.xp import resolve_kernel_backend
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return resolve_kernel_backend(kernel_backend)
+    def test_more_ranks_than_points_rejected(self):
+        with pytest.raises(ValueError, match="nranks=8 exceeds the number of points n=6"):
+            distributed_balanced_kmeans(_pts(6), k=3, nranks=8, rng=0)
 
 
 class TestOneRankInvariant:
@@ -113,16 +107,13 @@ class TestOneRankInvariant:
         "no-erosion": {"use_erosion": False},
     }
 
-    @pytest.mark.parametrize("kernel_backend", ["numpy", "numba"])
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_serial_equals_one_rank(self, case, weighted, kernel_backend):
-        if _resolves_to(kernel_backend) != kernel_backend:
-            pytest.skip(f"{kernel_backend} resolves to another backend on this host")
+    def test_serial_equals_one_rank(self, case, weighted):
         rng = np.random.default_rng(22)
         pts = rng.random((3000, 2))
         w = rng.integers(1, 5, 3000).astype(np.float64) if weighted else None
-        cfg = BalancedKMeansConfig(kernel_backend=kernel_backend, **self.CASES[case])
+        cfg = BalancedKMeansConfig(**self.CASES[case])
         serial = balanced_kmeans(pts, 8, weights=w, config=cfg, rng=23)
         dist = distributed_balanced_kmeans(pts, 8, nranks=1, weights=w, config=cfg, rng=23)
         _assert_identical(serial, dist)
