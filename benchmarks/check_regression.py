@@ -22,7 +22,8 @@ Two schemas are recognised by their keys:
   never treated as a regression.
 - ``BENCH_ondisk.json`` (``{"streaming": ...}``): the out-of-core runner's
   wall-clock is compared directly; the streaming-vs-in-memory overhead
-  factor is reported alongside.
+  factor and the superstep count are reported alongside (the bench itself
+  fails when the count exceeds the committed one).
 
 CI calls this after the tier-1 suite re-measures the trajectory (the step
 stays non-blocking there: shared runners are too noisy to gate on); local
@@ -94,6 +95,8 @@ def compare_ondisk(committed: dict, fresh: dict) -> tuple[float, list[str]]:
         f"streaming partition: committed {old:.2f}s, fresh {new:.2f}s ({ratio:.2f}x)",
         f"fresh overhead vs in-memory: {fresh['streaming_overhead']:.2f}x "
         f"(committed {committed['streaming_overhead']:.2f}x)",
+        f"streaming supersteps: committed {committed['streaming']['supersteps']}, "
+        f"fresh {fresh['streaming']['supersteps']}",
     ]
     return ratio, lines
 

@@ -11,9 +11,12 @@ overhead factor is the trajectory being tracked.
 Results land in ``results/fresh/BENCH_ondisk.json``;
 ``check_regression.py`` compares the streaming seconds against the
 committed ``BENCH_ondisk.json`` baseline (non-blocking in CI — shared
-runners are too noisy to gate on wall-clock).
+runners are too noisy to gate on wall-clock).  The streaming run's
+superstep count repeats exactly on any host, so the bench itself fails,
+in CI too, when it exceeds the committed count.
 """
 
+import json
 import os
 import time
 
@@ -46,6 +49,8 @@ def workload(tmp_path_factory):
 def test_streaming_throughput(workload, bench_json_writer):
     pts, w, ds = workload
     cfg = BalancedKMeansConfig(max_iterations=8)
+    with open(BENCH_JSON) as fh:
+        committed_supersteps = json.load(fh)["streaming"]["supersteps"]
 
     t0 = time.perf_counter()
     mem = distributed_balanced_kmeans(pts, K, P, weights=w, config=cfg, rng=SEED)
@@ -60,20 +65,26 @@ def test_streaming_throughput(workload, bench_json_writer):
     assert mem.centers.tobytes() == dsk.centers.tobytes()
 
     overhead = dsk_s / mem_s
+    supersteps = dsk.ledger.supersteps
     payload = {
         "n": N,
         "k": K,
         "nranks": P,
         "iterations": dsk.iterations,
-        "streaming": {"seconds": dsk_s, "rows_per_second": N / dsk_s},
+        "streaming": {"seconds": dsk_s, "rows_per_second": N / dsk_s, "supersteps": supersteps},
         "in_memory": {"seconds": mem_s, "rows_per_second": N / mem_s},
         "streaming_overhead": overhead,
     }
     written = bench_json_writer(BENCH_JSON, payload)
     print(
         f"\n[BENCH] out-of-core: in-memory {mem_s:.2f}s, streaming {dsk_s:.2f}s "
-        f"({overhead:.2f}x overhead, {N / dsk_s / 1e3:.0f}k rows/s) "
-        f"[written to {written}]"
+        f"({overhead:.2f}x overhead, {N / dsk_s / 1e3:.0f}k rows/s), {supersteps} supersteps "
+        f"(committed {committed_supersteps}) [written to {written}]"
+    )
+    # a superstep count repeats exactly on any host, so unlike wall-clock it
+    # is safe to gate on in CI
+    assert supersteps <= committed_supersteps, (
+        f"streaming partition took {supersteps} supersteps vs {committed_supersteps} committed"
     )
     if os.environ.get("CI"):
         return

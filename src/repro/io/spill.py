@@ -2,11 +2,13 @@
 
 The out-of-core k-means runner keeps every O(n) array on disk and hands
 rank functions :class:`SpillHandle` descriptors instead of arrays.  A
-handle is a plain picklable record (path, shape, dtype); rank functions
-``open()`` it to a :class:`numpy.memmap` of their own O(n/p) file, mutate
-in place, and flush — which works identically whether ranks run in the
-driver process (virtual backend) or in worker processes (the page cache
-keeps file mmaps coherent across processes).
+handle is a plain picklable record (path, shape, dtype, data offset); rank
+functions ``open()`` it to a :class:`numpy.memmap` of their own O(n/p)
+file and mutate it in place, without ``msync``.  Spill files are one run's
+scratch on one host: ``MAP_SHARED`` writes land in the page cache, which
+every later map and read of the file sees, whether ranks run in the driver
+process (virtual backend) or in worker processes; and nothing reads a
+spill file after a crash (a resume reads the fsynced checkpoint).
 
 Two access styles, chosen by the address-space math:
 
@@ -51,11 +53,17 @@ def _header_offset(path: str | os.PathLike) -> tuple[int, tuple, np.dtype]:
 
 @dataclass(frozen=True)
 class SpillHandle:
-    """Descriptor of one on-disk ``.npy`` array (picklable, O(1) state)."""
+    """Descriptor of one on-disk ``.npy`` array (picklable, O(1) state).
+
+    ``offset`` is the byte offset of the data block after the ``.npy``
+    header, recorded when the file is written or first opened, so every
+    access maps or seeks straight to the data without re-parsing the header.
+    """
 
     path: str
     shape: tuple
     dtype: str
+    offset: int
 
     @property
     def rows(self) -> int:
@@ -75,7 +83,7 @@ class SpillHandle:
 
     def open(self, mode: str = "r") -> np.memmap:
         """Memory-map the whole file (``"r"`` or ``"r+"``)."""
-        return np.lib.format.open_memmap(self.path, mode=mode)
+        return np.memmap(self.path, dtype=self.dtype, mode=mode, offset=self.offset, shape=self.shape)
 
     def read(self) -> np.ndarray:
         """Materialize a private copy of the whole array."""
@@ -89,11 +97,10 @@ class SpillHandle:
         """Materialize rows ``[lo, hi)`` via seek (no mapping of the file)."""
         if not 0 <= lo <= hi <= self.rows:
             raise IndexError(f"rows [{lo}, {hi}) out of [0, {self.rows})")
-        offset, shape, dtype = _header_offset(self.path)
         with open(self.path, "rb") as fh:
-            fh.seek(offset + lo * self.row_bytes)
+            fh.seek(self.offset + lo * self.row_bytes)
             raw = fh.read((hi - lo) * self.row_bytes)
-        out = np.frombuffer(raw, dtype=dtype).reshape((hi - lo,) + tuple(shape[1:]))
+        out = np.frombuffer(raw, dtype=self.dtype).reshape((hi - lo,) + tuple(self.shape[1:]))
         return out.copy()
 
     def write_rows(self, lo: int, array: np.ndarray) -> None:
@@ -103,9 +110,8 @@ class SpillHandle:
             raise ValueError(f"row shape {arr.shape[1:]} != {tuple(self.shape[1:])}")
         if lo < 0 or lo + arr.shape[0] > self.rows:
             raise IndexError(f"rows [{lo}, {lo + arr.shape[0]}) out of [0, {self.rows})")
-        offset, _, _ = _header_offset(self.path)
         with open(self.path, "r+b") as fh:
-            fh.seek(offset + lo * self.row_bytes)
+            fh.seek(self.offset + lo * self.row_bytes)
             fh.write(arr.tobytes())
 
 
@@ -131,8 +137,9 @@ class SpillStore:
         tmp = final + f".tmp-{os.getpid()}"
         with open(tmp, "wb") as fh:
             np.save(fh, arr)
+            offset = fh.tell() - arr.nbytes
         os.replace(tmp, final)
-        return SpillHandle(final, tuple(arr.shape), str(arr.dtype))
+        return SpillHandle(final, tuple(arr.shape), str(arr.dtype), offset)
 
     def create(self, name: str, shape: tuple, dtype) -> SpillHandle:
         """Preallocate a zero-filled array file (sparse where the OS allows).
@@ -153,14 +160,15 @@ class SpillStore:
                 {"descr": np.lib.format.dtype_to_descr(dt),
                  "fortran_order": False, "shape": shape},
             )
-            fh.truncate(fh.tell() + nbytes)
-        return SpillHandle(path, shape, str(dt))
+            offset = fh.tell()
+            fh.truncate(offset + nbytes)
+        return SpillHandle(path, shape, str(dt), offset)
 
     def handle(self, name: str) -> SpillHandle:
         """Handle for an existing file (header read only)."""
         path = self.path_for(name)
-        _, shape, dtype = _header_offset(path)
-        return SpillHandle(path, tuple(shape), str(dtype))
+        offset, shape, dtype = _header_offset(path)
+        return SpillHandle(path, tuple(shape), str(dtype), offset)
 
     def remove(self, *handles_or_names: "SpillHandle | str") -> None:
         for item in handles_or_names:

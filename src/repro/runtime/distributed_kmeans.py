@@ -296,6 +296,12 @@ def _relax_movement_local(ub, lb, assignment, deltas, influence, workspace) -> N
     relax_for_movement(ub, lb, assignment, deltas, influence)
 
 
+def _apply_relaxations(steps, ub, lb, assignment, workspace) -> None:
+    """Apply pending bounds relaxations ``(fn, args)`` to one rank, in order."""
+    for fn, args in steps:
+        fn(ub, lb, assignment, *args, workspace)
+
+
 def _fresh_state(storage, prefix: str, sizes) -> tuple[list, list, list]:
     """Zero assignments and fresh Hamerly bounds (Algorithm 2, line 9) per rank."""
     assignment, ub, lb = [], [], []
@@ -314,9 +320,11 @@ def _save_checkpoint(comm, storage, ckpt: _Checkpoints, iteration: int, gen: np.
     Per-shard assignment and Hamerly bounds are read through
     ``storage.collect`` (rank-authoritative, so this is correct on MPI too;
     spill storage hands over lazy handles the store materialises one at a
-    time).  Bounds relaxations are applied eagerly during the sweeps, so the
-    collected (ub, lb) are exactly the values an uninterrupted run would
-    carry into the next iteration — which is what makes resume bit-identical.
+    time).  The loop applies the iteration's pending bounds relaxations in
+    one superstep before calling this, so the collected (ub, lb) are exactly
+    the values an uninterrupted run's next sweep assigns with, after applying
+    the same relaxations at the start of its turn — which is what makes
+    resume bit-identical.
     """
     comm.set_stage("checkpoint")
     arrays = {
@@ -677,16 +685,7 @@ def _kmeans_loop(
     sample_perms = [storage.stash("perm", r, rank_rngs[r].permutation(int(counts[r])))
                     for r in range(p)] if sample_sizes else []
 
-    def relax(steps, s_assign, s_ub, s_lb, s_workspaces) -> None:
-        """One superstep applying bounds relaxations ``fn(ub, lb, a, *args, ...)`` in order."""
-
-        def turn(r: int, a, upper, lower) -> None:
-            for fn, args in steps:
-                fn(upper, lower, a, *args, s_workspaces[r])
-
-        comm.run_local(storage.local(turn, read=(s_assign,), write=(s_ub, s_lb)))
-
-    def balance(s_pts, s_w, s_assign, s_ub, s_lb, s_workspaces, s_targets, block_w0=None):
+    def balance(s_pts, s_w, s_assign, s_ub, s_lb, s_workspaces, s_targets, block_w0=None, pending=()):
         """Algorithm 1: sweeps, block-weight allreduce, influence adaptation.
 
         Returns ``(block weights, imbalance, balanced, balance iterations,
@@ -696,6 +695,11 @@ def _kmeans_loop(
         kernels) — one full bincount reduction seeds the phase unless
         ``block_w0`` carries the previous phase's weights in.  With bounds
         off (the §4.3 ablation) every iteration reduces a fresh bincount.
+
+        Each balance iteration is one rank turn: the sweep first applies the
+        ``pending`` bounds relaxations (the caller's for the first sweep,
+        then the previous iteration's influence relaxation) and then
+        assigns.  Nothing is pending when this returns.
         """
         nonlocal influence
         state = dict(read=(s_pts, s_w), write=(s_assign, s_ub, s_lb))
@@ -708,6 +712,7 @@ def _kmeans_loop(
             if block_w is not None:
 
                 def sweep_delta(r: int, pts, w, a, upper, lower) -> np.ndarray:
+                    _apply_relaxations(pending, upper, lower, a, s_workspaces[r])
                     delta = np.zeros(k)
                     assign_points(pts, centers, influence, a, upper, lower, cfg, stats[r],
                                   workspace=s_workspaces[r], weights=w, delta_out=delta)
@@ -717,11 +722,13 @@ def _kmeans_loop(
             else:
 
                 def sweep(r: int, pts, w, a, upper, lower) -> np.ndarray:
+                    _apply_relaxations(pending, upper, lower, a, s_workspaces[r])
                     assign_points(pts, centers, influence, a, upper, lower, cfg, stats[r],
                                   workspace=s_workspaces[r])
                     return np.bincount(a, weights=np.asarray(w), minlength=k)
 
                 block_w = comm.allreduce(comm.run_local(storage.local(sweep, **state)))
+            pending = ()
             imbalance = float((block_w / s_targets).max() - 1.0)
             if imbalance <= cfg.epsilon:
                 balanced = True
@@ -734,8 +741,7 @@ def _kmeans_loop(
                 cap=cfg.influence_change_cap, floor=cfg.influence_floor, ceil=cfg.influence_ceil,
             )
             if cfg.use_bounds:
-                relax([(_relax_influence_local, (old_influence, influence))],
-                      s_assign, s_ub, s_lb, s_workspaces)
+                pending = [(_relax_influence_local, (old_influence, influence))]
             else:
                 block_w = None  # force a fresh bincount reduction next iteration
         merged = AssignStats()
@@ -819,11 +825,18 @@ def _kmeans_loop(
         final_imbalance = float((block_w / targets).max() - 1.0)
         if cfg.use_bounds:
             prev_block_w = block_w
+    # End-of-iteration relaxations run at the start of the next phase's first
+    # sweep turn, or in one superstep before a due checkpoint.  A stopping
+    # run drops them (ub and lb are in no result); any other drop would
+    # leave bounds too tight for a later sweep.  balance() consumes them,
+    # so nothing is pending when reset_lower runs.
+    pending: list = []
     for it in range(start_it, cfg.max_iterations):
         iterations = it + 1
         with timers.stage("assign"):
             block_w, final_imbalance, balanced, its, stats = balance(
-                local_pts, local_w, assignment, ub, lb, workspaces, targets, prev_block_w)
+                local_pts, local_w, assignment, ub, lb, workspaces, targets, prev_block_w, pending)
+        pending = []
         # assignments are untouched after the phase's last sweep, so its
         # block weights are the global ones; with bounds on the next phase
         # seeds from them instead of a full bincount reduction
@@ -848,13 +861,18 @@ def _kmeans_loop(
         if cfg.use_erosion:
             erode(local_pts, local_w, assignment, new_centers, deltas)
         if cfg.use_bounds:
-            relax([(_relax_influence_local, (old_influence, influence)),
-                   (_relax_movement_local, (deltas, influence))], assignment, ub, lb, workspaces)
+            pending = [(_relax_influence_local, (old_influence, influence)),
+                       (_relax_movement_local, (deltas, influence))]
         if deltas.max() < delta_threshold and balanced:
             converged = True
             break
         centers = new_centers
         if ckpt.store is not None and (it + 1) % ckpt.every == 0:
+            if pending:  # the checkpoint stores relaxed bounds
+                comm.run_local(storage.local(
+                    lambda r, a, upper, lower: _apply_relaxations(pending, upper, lower, a, workspaces[r]),
+                    read=(assignment,), write=(ub, lb)))
+                pending = []
             _save_checkpoint(comm, storage, ckpt, it + 1, gen, centers, influence, targets,
                              block_w, history, assignment, ub, lb)
 

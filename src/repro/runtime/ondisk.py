@@ -11,7 +11,10 @@ storage seams, and this module holds their spill-file implementations:
   assignments, Hamerly bounds, sample permutations and sample subsets are
   spill files (:mod:`repro.io.spill`) named ``{name}.{rank}``.  A rank
   function receives memory maps of its own O(n/p) files, opened for that
-  rank turn only; the maps it writes are flushed when the turn ends.  Ranks
+  rank turn only with one plain ``np.memmap`` each (the handle knows where
+  the data starts) and never flushed: the page cache shows every write to
+  the next turn, in any process, and a resume reads the fsynced
+  checkpoint, never a spill file.  Ranks
   rebuild an ephemeral sweep workspace per sweep, exactly like
   worker-process ranks do on the process backend, so no O(n/p) cache
   outlives a turn.  The final assignment is scattered back to original
@@ -121,11 +124,12 @@ class SpillStorage:
     :class:`~repro.runtime.distributed_kmeans.SharedStorage`; refs are
     :class:`SpillHandle` descriptors of files ``{name}.{rank}`` in one
     :class:`SpillStore`.  ``local`` maps a rank's files for the turn only
-    (``read`` maps read-only, ``write`` maps read-write, flushed when the
-    turn ends); ``view`` maps one file for the driver; ``collect`` hands
-    out the handles themselves, which the checkpoint store materialises one
-    at a time.  ``persistent_state`` is false: ranks keep no sweep
-    workspace between turns.
+    (``read`` maps read-only, ``write`` maps read-write); ``view`` maps one
+    file for the driver; ``collect`` hands out the handles themselves,
+    which the checkpoint store materialises one at a time.  No map is
+    flushed (see :mod:`repro.io.spill` for why none needs to be).
+    ``persistent_state`` is false: ranks keep no sweep workspace between
+    turns.
     """
 
     persistent_state = False
@@ -149,11 +153,7 @@ class SpillStorage:
         nread = len(read)
 
         def turn(r: int):
-            maps = [f[r].open("r" if i < nread else "r+") for i, f in enumerate(fields)]
-            out = fn(r, *maps)
-            for written in maps[nread:]:
-                written.flush()
-            return out
+            return fn(r, *(f[r].open("r" if i < nread else "r+") for i, f in enumerate(fields)))
 
         return turn
 

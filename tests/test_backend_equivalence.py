@@ -51,6 +51,7 @@ class TestKMeansEquivalence:
         assert virt.imbalance == proc.imbalance
         assert virt.iterations == proc.iterations
         assert virt.converged == proc.converged
+        assert virt.ledger.supersteps == proc.ledger.supersteps
 
     def test_weighted_equivalence(self):
         rng = np.random.default_rng(3)

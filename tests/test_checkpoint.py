@@ -207,14 +207,18 @@ class TestDistributedResume:
     def _full(self, pts, k=4, p=4):
         return distributed_balanced_kmeans(pts, k, p, config=self.CFG, rng=7)
 
-    def test_resume_from_every_checkpoint_is_bit_identical(self, tmp_path):
+    # every=3: most iteration boundaries carry their pending bounds
+    # relaxations into the next sweep, while a due checkpoint applies them
+    # first; both paths must resume bit-identically
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_resume_from_every_checkpoint_is_bit_identical(self, tmp_path, every):
         pts = _points()
         full = self._full(pts)
         store = CheckpointStore(tmp_path, keep=100)
-        self._full(pts)  # warm nothing; just symmetry with the checkpointed run
         checkpointed = distributed_balanced_kmeans(
-            pts, 4, 4, config=self.CFG, rng=7, checkpoint=store)
+            pts, 4, 4, config=self.CFG, rng=7, checkpoint=store, checkpoint_every=every)
         _assert_same_partition(full, checkpointed)
+        assert len(store.candidates()) >= 2
         for path in store.candidates():
             resumed = distributed_balanced_kmeans(
                 pts, 4, 4, config=self.CFG, rng=7, resume_from=str(path))

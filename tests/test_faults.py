@@ -49,6 +49,16 @@ def _assert_same_partition(a, b):
     assert a.iterations == b.iterations
 
 
+def _crash_step(checkpointed) -> int:
+    """A superstep three quarters into an uninterrupted checkpointed run.
+
+    Derived rather than fixed, so a change in how many supersteps a run
+    takes cannot move the crash past the run's end.  Superstep counts are
+    the same on every backend (``test_backend_equivalence``).
+    """
+    return 3 * checkpointed.ledger.supersteps // 4
+
+
 def _dump_chaos_log(name: str, ledger) -> None:
     log_dir = os.environ.get("REPRO_CHAOS_LOG_DIR")
     if not log_dir:
@@ -184,8 +194,9 @@ class TestVirtualInjection:
     def test_crash_then_resume_is_bit_identical(self, tmp_path):
         pts = _points()
         clean = _run(pts)
-        store = CheckpointStore(tmp_path, keep=100)
-        with make_comm(2, faults="crash:step=80") as comm:
+        step = _crash_step(_run(pts, checkpoint=CheckpointStore(tmp_path / "probe")))
+        store = CheckpointStore(tmp_path / "run", keep=100)
+        with make_comm(2, faults=f"crash:step={step}") as comm:
             with pytest.raises(InjectedFault):
                 _run(pts, comm=comm, checkpoint=store)
         assert store.latest() is not None, "crash fired before the first checkpoint"
@@ -315,9 +326,11 @@ class TestChaosKillMatrix:
         resumed run (on a different rank count) finishes bit-identically."""
         pts = _points()
         clean = distributed_balanced_kmeans(pts, 4, 3, config=CFG, rng=5)
-        store = CheckpointStore(tmp_path, keep=100)
+        step = _crash_step(distributed_balanced_kmeans(
+            pts, 4, 3, config=CFG, rng=5, checkpoint=CheckpointStore(tmp_path / "probe")))
+        store = CheckpointStore(tmp_path / "run", keep=100)
         with make_comm(3, backend="process",
-                       faults="kill:rank=1,step=20;crash:step=90") as comm:
+                       faults=f"kill:rank=1,step=20;crash:step={step}") as comm:
             with pytest.raises(InjectedFault):
                 distributed_balanced_kmeans(pts, 4, 3, config=CFG, rng=5,
                                             comm=comm, checkpoint=store)

@@ -188,6 +188,27 @@ class TestSpill:
         assert np.array_equal(store.handle("x").read(), arr)
         assert np.array_equal(np.asarray(h), arr)  # __array__ for checkpoints
 
+        # every way to get a handle records where the .npy header ends, and
+        # the maps it opens see exactly the bytes np.load parses
+        created = store.create("c", (7, 3), np.int32)
+        empty = store.put("e", np.zeros((0, 2)))
+        for name, handle in (("x", h), ("c", created), ("e", empty)):
+            with open(handle.path, "rb") as fh:
+                np.lib.format.read_magic(fh)
+                np.lib.format.read_array_header_1_0(fh)
+                assert handle.offset == fh.tell()
+            assert store.handle(name) == handle
+            on_disk = np.load(handle.path)
+            for mode in ("r", "r+"):
+                mapped = handle.open(mode)
+                assert mapped.dtype == on_disk.dtype and mapped.shape == on_disk.shape
+                assert np.array_equal(mapped, on_disk)
+        mapped = created.open("r+")
+        mapped[2] = [4, 5, 6]
+        del mapped
+        assert created.read()[2].tolist() == [4, 5, 6]
+        assert created.read_rows(2, 3).tolist() == [[4, 5, 6]]
+
     def test_windowed_io_bounds_checked(self, tmp_path):
         store = SpillStore(tmp_path / "spill")
         h = store.put("x", np.zeros(5))

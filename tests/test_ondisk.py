@@ -107,6 +107,44 @@ class TestDispatch:
             ondisk_distributed_kmeans(ds, 3, 8, config=CFG, rng=0, spill_dir=tmp_path / "spill")
 
 
+class TestSpillTurns:
+    """One rank turn per balance iteration, and no msync of spill maps.
+
+    A count repeats exactly on any host; changing a pinned value must be
+    explained in CHANGES.md.
+    """
+
+    def test_superstep_count_pinned(self, tmp_path):
+        pts, w = _points()
+        ds = write_sharded(tmp_path / "ds", pts, weights=w, shard_rows=173)
+        dsk = ondisk_distributed_kmeans(ds, 4, 2, config=CFG, rng=7, spill_dir=tmp_path / "spill")
+        mem = distributed_balanced_kmeans(pts, 4, 2, weights=w, config=CFG, rng=7)
+        assert dsk.iterations == mem.iterations == 5
+        assert dsk.ledger.supersteps == 44
+        # the loop's supersteps are storage-independent; the two sorts' are not
+        assert mem.ledger.supersteps == 41
+
+    def test_ondisk_stream_problem(self, tmp_path):
+        # the ondisk-stream benchmark partition
+        rng = np.random.default_rng(3)
+        pts = rng.random((20_000, 2))
+        w = 0.5 + rng.random(20_000)
+        ds = write_sharded(tmp_path / "ds", pts, weights=w, shard_rows=2_500)
+        res = ondisk_distributed_kmeans(ds, 16, 4, rng=0, spill_dir=tmp_path / "spill")
+        assert res.iterations == 42
+        assert res.ledger.supersteps == 219
+
+    def test_spill_maps_are_never_flushed(self, tmp_path, monkeypatch):
+        flushes = []
+        flush = np.memmap.flush
+        monkeypatch.setattr(np.memmap, "flush", lambda self: flushes.append(1) or flush(self))
+        pts, w = _points()
+        ds = write_sharded(tmp_path / "ds", pts, weights=w, shard_rows=173)
+        ondisk_distributed_kmeans(ds, 4, 2, config=CFG, rng=7, spill_dir=tmp_path / "spill")
+        # TestBitIdentity shows the unflushed runs still match in memory
+        assert flushes == []
+
+
 class TestOndiskResume:
     def test_resume_from_every_checkpoint_is_bit_identical(self, tmp_path):
         pts, w = _points(seed=23)

@@ -97,6 +97,30 @@ class TestDistributedKMeans:
             distributed_balanced_kmeans(_pts(6), k=3, nranks=8, rng=0)
 
 
+class TestSuperstepCounts:
+    """Exact superstep counts: one rank turn per balance iteration.
+
+    A count repeats exactly on any host and backend; changing one of these
+    values must be explained in CHANGES.md.
+    """
+
+    def test_fault_test_problem(self):
+        # the run tests/test_faults.py injects its faults into
+        pts = np.random.default_rng(0).random((300, 2))
+        res = distributed_balanced_kmeans(pts, 4, 2, config=BalancedKMeansConfig(epsilon=0.02), rng=5)
+        assert res.iterations == 11
+        assert res.ledger.supersteps == 69
+
+    def test_dist_process_problem(self):
+        # the dist-process benchmark problem, on the virtual backend
+        rng = np.random.default_rng(2)
+        pts = rng.random((60_000, 2))
+        w = rng.integers(1, 4, 60_000).astype(np.float64)
+        res = distributed_balanced_kmeans(pts, 32, 2, weights=w, rng=0)
+        assert res.iterations == 50
+        assert res.ledger.supersteps == 325
+
+
 class TestOneRankInvariant:
     """Serial ``balanced_kmeans`` is the Algorithm 2 loop on one virtual rank."""
 
