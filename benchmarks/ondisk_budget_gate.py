@@ -109,8 +109,11 @@ def run_gate_child(args) -> int:
 
     cfg = BalancedKMeansConfig(epsilon=0.05, max_iterations=args.iters,
                                use_sampling=False)
+    # spill next to the shuffle output, inside the parent's work directory,
+    # which the parent removes; the cap counts the maps wherever they live
+    spill = os.path.join(os.path.dirname(os.path.abspath(args.shuffle_out)), "spill")
     result = ondisk_distributed_kmeans(args.manifest, args.k, args.nranks,
-                                       config=cfg, rng=args.seed)
+                                       config=cfg, rng=args.seed, spill_dir=spill)
     output = shuffle_to_disk(result, args.shuffle_out)
     report = verify_shuffle(output)
     ledger = result.ledger

@@ -76,7 +76,6 @@ def _run_trajectory(pts, base_w, centers0):
     cfg = BalancedKMeansConfig(
         epsilon=EPSILON,
         max_balance_iterations=MAX_BALANCE_ITERATIONS,
-        incremental_block_size=64,
     )
     order = np.arange(N)  # the points are already in SFC order
     ws = SweepWorkspace(pts, cfg, K)

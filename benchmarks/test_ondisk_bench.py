@@ -42,12 +42,13 @@ def workload(tmp_path_factory):
     rng = np.random.default_rng(SEED)
     pts = rng.random((N, 2))
     w = 0.5 + rng.random(N)
-    ds = write_sharded(tmp_path_factory.mktemp("bench") / "ds", pts, weights=w)
-    return pts, w, ds
+    root = tmp_path_factory.mktemp("bench")
+    ds = write_sharded(root / "ds", pts, weights=w)
+    return pts, w, ds, root / "spill"
 
 
 def test_streaming_throughput(workload, bench_json_writer):
-    pts, w, ds = workload
+    pts, w, ds, spill = workload
     cfg = BalancedKMeansConfig(max_iterations=8)
     with open(BENCH_JSON) as fh:
         committed_supersteps = json.load(fh)["streaming"]["supersteps"]
@@ -57,7 +58,7 @@ def test_streaming_throughput(workload, bench_json_writer):
     mem_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    dsk = ondisk_distributed_kmeans(ds, K, P, config=cfg, rng=SEED)
+    dsk = ondisk_distributed_kmeans(ds, K, P, config=cfg, rng=SEED, spill_dir=spill)
     dsk_s = time.perf_counter() - t0
 
     # a wrong answer must never get a perf number

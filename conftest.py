@@ -25,21 +25,59 @@ Golden fixtures: tests call ``golden("name", {...})`` to compare a dict of
 metrics against ``tests/golden/name.json``.  Run with ``--update-golden``
 to (re)freeze the snapshots after an intentional kernel/backend change;
 the diff of the JSON files then documents exactly what moved.
+
+Spill-directory guard: an on-disk run without ``spill_dir`` spills into a
+``repro-ondisk-*`` directory under the system temp directory, and nothing
+removes it.  A session that leaves a new one behind fails, listing it, so a
+test or bench that forgets ``spill_dir`` (or a ``tmp_path``-scoped
+``tempfile.tempdir``) cannot fill the temp directory unnoticed.
 """
 
 from __future__ import annotations
 
+import glob
 import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "tests", "golden")
 SRC_DIR = os.path.join(os.path.dirname(__file__), "src")
+_SPILL_DIRS = pytest.StashKey[set]()
+_LEAKED_SPILL_DIRS = pytest.StashKey[list]()
+
+
+def _spill_dirs() -> set[str]:
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-ondisk-*")))
+
+
+def pytest_sessionstart(session):
+    session.config.stash[_SPILL_DIRS] = _spill_dirs()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    leaked = sorted(_spill_dirs() - session.config.stash.get(_SPILL_DIRS, set()))
+    session.config.stash[_LEAKED_SPILL_DIRS] = leaked
+    if leaked and session.exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    leaked = config.stash.get(_LEAKED_SPILL_DIRS, [])
+    if leaked:
+        terminalreporter.section("leaked spill directories", red=True)
+        terminalreporter.write_line(
+            f"{len(leaked)} repro-ondisk-* directories appeared under "
+            f"{tempfile.gettempdir()} during this session; pass spill_dir= "
+            "(or scope tempfile.tempdir to tmp_path) in the test that made them:"
+        )
+        for path in leaked:
+            terminalreporter.write_line(f"  {path}")
 
 
 def pytest_addoption(parser):

@@ -24,19 +24,17 @@ top-2 reduction itself runs in squared space (see
 :mod:`repro.geometry.distances`).  The pruning rule reuses block boxes
 computed once per run and box-to-center distances computed once per phase.
 
-Incremental engine (on whenever ``config.use_bounds`` is): the workspace's
-per-sub-block bound aggregates certify whole sub-blocks unchanged without
-reading any per-point array, so the per-sweep active scan runs only inside
-woken sub-blocks (with an adaptive fallback to the global scan when the
-trajectory is churning); each sweep additionally reports the per-cluster
-*weight delta* of the assignments it changed, so the caller can maintain
-the block weights incrementally instead of re-bincounting all ``n`` points
-every balance iteration, and the bound relaxations between iterations use
-the candidate-local forms via the workspace.  Every relaxation keeps the
-bounds *valid*, and every evaluation is exact, so assignments, influence,
-imbalance and block weights are identical to the ``use_bounds=False``
-sweep; see :class:`~repro.core.config.BalancedKMeansConfig` for the
-exactness caveat on non-integer weights.
+Incremental engine (on whenever ``config.use_bounds`` is): each sweep
+reports the per-cluster *weight delta* of the assignments it changed, so
+the caller can maintain the block weights incrementally instead of
+re-bincounting all ``n`` points every balance iteration, and the bound
+relaxations between iterations use the candidate-local forms via the
+workspace; sparse sweeps merge underfilled per-block chunks to cut
+dispatch.  Every relaxation keeps the bounds *valid*, and every evaluation
+is exact, so assignments, influence, imbalance and block weights are
+identical to the ``use_bounds=False`` sweep; see
+:class:`~repro.core.config.BalancedKMeansConfig` for the exactness caveat
+on non-integer weights.
 
 The balance loop itself — sweeps, the block-weight allreduce (line 31, the
 only communication in Algorithm 1; of the k-vector of deltas when bounds
@@ -104,12 +102,9 @@ def diameter_partial_sums(
 class AssignStats:
     """Counters validating the §4.3 claim that ~80 % of inner loops are skipped.
 
-    ``blocks_total`` / ``blocks_skipped`` count aggregate *sub-blocks*
-    certified unchanged by the incremental engine's block-level filter (a
-    skipped sub-block never touches its per-point arrays; both stay 0 when
-    the filter is parked or disabled).  ``points_changed`` counts
-    assignments that actually flipped — the size of the weight deltas the
-    incremental block-weight reduction is built from.
+    ``points_changed`` counts assignments that actually flipped — the size
+    of the weight deltas the incremental block-weight reduction is built
+    from.
     """
 
     points_total: int = 0
@@ -118,8 +113,6 @@ class AssignStats:
     center_evals_possible: int = 0
     balance_iterations: int = 0
     sweeps: int = 0
-    blocks_total: int = 0
-    blocks_skipped: int = 0
     points_changed: int = 0
 
     @property
@@ -142,8 +135,6 @@ class AssignStats:
         self.center_evals_possible += other.center_evals_possible
         self.balance_iterations += other.balance_iterations
         self.sweeps += other.sweeps
-        self.blocks_total += other.blocks_total
-        self.blocks_skipped += other.blocks_skipped
         self.points_changed += other.points_changed
 
 
@@ -250,23 +241,8 @@ def assign_points(
     workspace.prepare(centers, influence)
     collect_delta = delta_out is not None and weights is not None
 
-    # -- active-point selection ---------------------------------------------
-    # In incremental mode with valid aggregates, the scan runs only inside
-    # woken sub-blocks: a sub-block whose min(lb - ub) is positive is
-    # certified unchanged without reading per-point arrays.  The selected
-    # set is *identical* to the global flatnonzero(ub >= lb) — the
-    # aggregates are conservative by invariant.
-    woken: np.ndarray | None = None
-    selection = None
+    # -- active-point selection: the Hamerly filter ub < lb skips a point ---
     if config.use_bounds:
-        selection = workspace.begin_incremental_sweep(assignment, ub, lb)
-    if selection is not None:
-        need, woken = selection
-        need_count = int(need.shape[0])
-        if stats is not None:
-            stats.blocks_total += workspace.n_subs
-            stats.blocks_skipped += workspace.n_subs - int(woken.shape[0])
-    elif config.use_bounds:
         need = np.flatnonzero(ub >= lb)
         need_count = int(need.shape[0])
     else:
@@ -278,10 +254,6 @@ def assign_points(
         stats.points_total += n
         stats.points_skipped += n - need_count
     if need_count == 0:
-        if woken is not None:
-            workspace.end_incremental_sweep(woken, ub, lb)
-        elif workspace.incremental and n > 0:
-            workspace.maybe_refresh_all(assignment, ub, lb)
         return 0
 
     def process_chunk(task: tuple[np.ndarray, int]) -> tuple[int, np.ndarray | None, int]:
@@ -331,10 +303,4 @@ def assign_points(
             stats.center_evals += cand_count * chunk.shape[0]
             stats.center_evals_possible += k * chunk.shape[0]
             stats.points_changed += changed_count
-    if woken is not None:
-        workspace.end_incremental_sweep(woken, ub, lb)
-    elif workspace.incremental:
-        # a globally scanned sweep: every per-point bound is now current,
-        # so the (probe-throttled) aggregate seed can run
-        workspace.maybe_refresh_all(assignment, ub, lb)
     return need_count

@@ -19,7 +19,7 @@ from repro.core.config import BalancedKMeansConfig
 from repro.core.kernels import SweepWorkspace
 from repro.core.result import KMeansResult
 from repro.core.seeding import seed_centers
-from repro.runtime.checkpoint import CheckpointStore, data_digest, load_resume
+from repro.runtime.checkpoint import CheckpointStore, data_digest
 from repro.runtime.comm import VirtualComm
 from repro.runtime.distributed_kmeans import (
     CHECKPOINT_KIND,
@@ -134,7 +134,7 @@ def balanced_kmeans(
     with _run_context(1, comm, None, None, None, cfg=cfg, rng=rng, n=n, k=k,
                       kind=CHECKPOINT_KIND, input_digest=input_digest, checkpoint=checkpoint,
                       checkpoint_every=checkpoint_every, resume_from=resume_from,
-                      provenance=None, load=load_resume) as (grid, gen, ckpt):
+                      provenance=None) as (grid, gen, ckpt):
         if k == 1:
             return KMeansResult(
                 assignment=np.zeros(n, dtype=np.int64),

@@ -47,9 +47,9 @@ class BalancedKMeansConfig:
         ``use_bounds=False`` turns it off together with the bounds, and the
         block weights are then recomputed with a full ``bincount`` every
         balance iteration instead of maintained from per-sweep assignment
-        deltas.  Its block filter and candidate-local relaxations also need
-        the static SFC blocks (``use_box_pruning`` and ``k > 2``).  With
-        non-integer weights the delta sums associate differently from that
+        deltas.  Its candidate-local relaxations also need the static SFC
+        blocks (``use_box_pruning`` and ``k > 2``).  With non-integer
+        weights the delta sums associate differently from that
         ``bincount`` (and from each other when pruning changes the sweep's
         chunks), so ``imbalance`` can differ in the last ulp; this is
         deterministic and backend-identical but may steer the influence
@@ -65,12 +65,6 @@ class BalancedKMeansConfig:
         2048 x 64 doubles = 1 MiB per buffer) while giving the §4.4 rule
         tight boxes — measured ~2x faster end-to-end than 8192 on the
         ``n=200k, k=64`` trajectory workload.
-    incremental_block_size:
-        Granularity (points) of the incremental engine's bound aggregates.
-        Finer sub-blocks certify more aggressively — a sub-block is skipped
-        only when *every* point in it is certified, so the probability
-        decays with size — at the cost of a longer aggregate vector.
-        Clipped to ``chunk_size`` (aggregates never span static blocks).
     influence_floor / influence_ceil:
         Hard guards against degenerate influence values on pathological
         inputs.
@@ -90,7 +84,6 @@ class BalancedKMeansConfig:
     sfc_curve: str = "hilbert"
     sfc_bits: int | None = None
     chunk_size: int = 2048
-    incremental_block_size: int = 256
     influence_floor: float = 1e-9
     influence_ceil: float = 1e9
 
@@ -117,8 +110,6 @@ class BalancedKMeansConfig:
             raise ValueError("initial_sample_size must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.incremental_block_size < 1:
-            raise ValueError("incremental_block_size must be >= 1")
         if not (0 < self.influence_floor < 1 < self.influence_ceil):
             raise ValueError("need influence_floor < 1 < influence_ceil")
 

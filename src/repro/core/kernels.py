@@ -28,7 +28,7 @@ sets by rescaling those ranges with the current ``influence ** -2`` — a
 ``(nblocks, k)`` elementwise pass — instead of re-deriving boxes from raw
 points for every chunk of every sweep.
 
-Incremental sweep engine (on whenever ``config.use_bounds`` is): three
+Incremental sweep engine (on whenever ``config.use_bounds`` is): two
 cooperating pieces on top of the static blocks.
 
 1. *Candidate-local relaxations* — the big lever.  Between balance
@@ -44,29 +44,16 @@ cooperating pieces on top of the static blocks.
    Influence or movement changes in one region then stop invalidating
    bounds everywhere (about 3x fewer point evaluations than the
    global-factor relaxation on the balance-bench trajectory).  Each
-   relaxation applies eagerly to every point and adjusts the sub-block
-   aggregates below analytically.
+   relaxation applies eagerly to every point, so the sweep's per-point
+   Hamerly test ``ub >= lb`` always reads current bounds.
 
-2. *Sub-block certification* — per fixed-size sub-block
-   (``incremental_block_size`` points) the workspace keeps the smallest
-   Hamerly gap ``min_gap = min(lb - ub)`` and the largest own-distance
-   bound ``max_ub``.  A sub-block with ``min_gap > 0`` provably contains
-   only filter-certified points and is skipped without reading per-point
-   arrays; aggregates refresh right after a sweep touches a sub-block and
-   are adjusted analytically by each relaxation.  When most sub-blocks
-   wake anyway (active balancing), the filter parks itself — aggregates
-   drop and a periodic probe (every 8th globally-scanned sweep) rebuilds
-   them to notice when the trajectory has gone quiet.
-
-3. *Weight deltas* — sweeps report the per-cluster weight delta of the
+2. *Weight deltas* — sweeps report the per-cluster weight delta of the
    assignments they changed, so block weights are maintained by addition
    instead of a full ``bincount`` per balance iteration (exact for
    integer-valued weights; see the config docstring).
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -75,25 +62,6 @@ from repro.geometry.boxes import block_bounds, blocks_min_max_sq
 from repro.geometry.distances import top2_effective
 
 __all__ = ["SweepWorkspace"]
-
-# when at least this fraction of sub-blocks wakes for a sweep, the per-region
-# select/refresh machinery costs more than it saves: the filter parks itself
-# (aggregates drop; the periodic probe in maybe_refresh_all rebuilds them)
-_WAKE_BYPASS_FRACTION = 0.375
-
-
-def _multi_arange(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(starts[i], ends[i])`` without a Python loop."""
-    lens = ends - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    if lens.shape[0] > 1:
-        cml = np.cumsum(lens[:-1])
-        out[cml] = starts[1:] - ends[:-1] + 1
-    return np.cumsum(out)
 
 
 class SweepWorkspace:
@@ -118,9 +86,10 @@ class SweepWorkspace:
     Algorithm 2 loop hands every phase a fresh center array instead).
 
     ``ephemeral=True`` marks a workspace built for a single sweep (e.g. by
-    ``assign_points`` when none was supplied, or on worker-process ranks):
-    the incremental block-bound aggregates are disabled there, since they
-    only pay off when they survive across sweeps.
+    ``assign_points`` when none was supplied, or on worker-process and spill
+    ranks): it turns off the candidate-local relaxations and sparse-chunk
+    merging, whose per-block candidate geometry only pays off when it
+    survives across sweeps.
 
     Input points are promoted to C-contiguous float64.
     """
@@ -146,58 +115,23 @@ class SweepWorkspace:
         if self.has_static_blocks:
             self.block_lo, self.block_hi = block_bounds(self.points, self.block_size)
             self.n_blocks = self.block_lo.shape[0]
-            # aggregate sub-blocks: the incremental filter's granularity.
-            # Finer than the static (candidate-set) blocks because a
-            # sub-block only skips when *every* point in it is certified.
-            self.sub_size = min(self.block_size, int(getattr(config, "incremental_block_size", self.block_size)))
-            n = self.points.shape[0]
-            # sub-blocks are cut *within* each static block (the last sub of
-            # a block may be short): a sub-block must never span two blocks,
-            # or block-local candidate factors would be applied to points of
-            # the neighbouring block
-            starts = [
-                np.arange(s, min(s + self.block_size, n), self.sub_size, dtype=np.int64)
-                for s in range(0, n, self.block_size)
-            ]
-            self.sub_starts = np.concatenate(starts)
-            self.n_subs = self.sub_starts.shape[0]
-            self.sub_ends = np.empty_like(self.sub_starts)
-            self.sub_ends[:-1] = self.sub_starts[1:]
-            self.sub_ends[-1] = n
-            self.sub_blocks = self.sub_starts // self.block_size  # parent static block
         else:
             self.block_lo = self.block_hi = None
             self.n_blocks = 0
-            self.sub_size = self.block_size
-            self.n_subs = 0
-            self.sub_starts = self.sub_ends = self.sub_blocks = None
         self._block_min_sq: np.ndarray | None = None
         self._block_max_sq: np.ndarray | None = None
         self._block_cand_mask: np.ndarray | None = None
         self._block_cand_counts: np.ndarray | None = None
         self._block_cand_cache: dict[int, np.ndarray | None] = {}
         self._block_floor: np.ndarray | None = None
-        # incremental engine: per-sub-block bound aggregates (valid only
-        # after a full refresh).  A sub-block whose smallest per-point bound
-        # gap ``min(lb - ub)`` is positive provably contains only
-        # filter-certified points and is skipped whole; ``max_ub`` rides
-        # along so relaxations, which apply eagerly to every point, can
-        # adjust the gap analytically.
+        # incremental engine: candidate-local relaxations and sparse-chunk
+        # merging, both built on the static blocks' candidate sets
         self.incremental = bool(
             self.has_static_blocks
             and not ephemeral
             and getattr(config, "use_bounds", True)
         )
-        self.sub_min_gap: np.ndarray | None = None
-        self.sub_max_ub: np.ndarray | None = None
         self._point_block: np.ndarray | None = None  # point -> static block, built lazily
-        self._refresh_probe = 0
-        # aggregates describe one specific (assignment, ub, lb) array
-        # triple; if a caller sweeps with different arrays, the state
-        # silently resets (first sweep on the new arrays is a full scan).
-        # Weak references, not ids: a dead-and-reallocated array must never
-        # masquerade as the original.
-        self._bound_token: tuple | None = None
 
     # -- warm reuse ---------------------------------------------------------
 
@@ -207,7 +141,7 @@ class SweepWorkspace:
     #: warm workspace may serve e.g. partitions at different epsilons of the
     #: same session.
     _CONFIG_FIELDS = (
-        "chunk_size", "use_box_pruning", "incremental_block_size", "use_bounds",
+        "chunk_size", "use_box_pruning", "use_bounds",
     )
 
     def _config_signature(self, config) -> tuple:
@@ -223,10 +157,7 @@ class SweepWorkspace:
         block boxes belong to those points, and the chunking and pruning come
         from that config.  The value comparison makes a reused workspace
         safe even when the caller re-derives the sorted point array each
-        call.  Callers must still :meth:`invalidate_block_bounds` before
-        reuse so stale incremental aggregates from the previous run are
-        dropped (they only affect skip statistics, never results, but
-        start each run clean).
+        call.
         """
         if self.k != int(k):
             return False
@@ -297,61 +228,7 @@ class SweepWorkspace:
             self._block_cand_cache[block] = cached
         return cached
 
-    # -- incremental sub-block bound aggregates + relaxations ---------------
-
-    @property
-    def aggregates_valid(self) -> bool:
-        """True once every sub-block's ``min_gap`` / ``max_ub`` reflects the bounds."""
-        return self.sub_min_gap is not None
-
-    def _stamp_bound_arrays(self, assignment: np.ndarray, ub: np.ndarray, lb: np.ndarray) -> None:
-        self._bound_token = (weakref.ref(assignment), weakref.ref(ub), weakref.ref(lb))
-
-    def _check_bound_arrays(self, assignment: np.ndarray, ub: np.ndarray, lb: np.ndarray) -> bool:
-        """True when the aggregates describe exactly these arrays; resets otherwise."""
-        token = self._bound_token
-        if (
-            token is None
-            or token[0]() is not assignment
-            or token[1]() is not ub
-            or token[2]() is not lb
-        ):
-            self.invalidate_block_bounds()
-            return False
-        return True
-
-    def maybe_refresh_all(self, assignment: np.ndarray, ub: np.ndarray, lb: np.ndarray) -> None:
-        """Probe-throttled aggregate (re)seed after a globally-scanned sweep.
-
-        While the trajectory is wake-heavy the sub-block filter cannot
-        certify anything, so recomputing aggregates every sweep would be
-        pure overhead; instead the filter stays dormant and re-probes every
-        few sweeps (one O(n) reduceat) to notice when the trajectory has
-        gone quiet.
-        """
-        if not self.incremental:
-            return
-        self._refresh_probe += 1
-        if self._refresh_probe >= 8:
-            self._refresh_probe = 0
-            self.refresh_all_block_bounds(assignment, ub, lb)
-        else:
-            self.sub_min_gap = None
-            self.sub_max_ub = None
-            self._bound_token = None
-
-    def refresh_all_block_bounds(self, assignment: np.ndarray, ub: np.ndarray, lb: np.ndarray) -> None:
-        """Recompute every sub-block aggregate from the per-point bounds (O(n)).
-
-        Relaxations apply eagerly, so the per-point arrays are always
-        current; assign_points calls this after a sweep that ran with
-        invalid aggregates.
-        """
-        if not self.incremental:
-            return
-        self.sub_min_gap = np.minimum.reduceat(lb - ub, self.sub_starts)
-        self.sub_max_ub = np.maximum.reduceat(ub, self.sub_starts)
-        self._stamp_bound_arrays(assignment, ub, lb)
+    # -- candidate-local relaxations ----------------------------------------
 
     def _apply_relax(
         self,
@@ -414,19 +291,16 @@ class SweepWorkspace:
         point's cluster, via a per-block top-2) capped by the chained
         floor — an influence change in one region no longer invalidates
         bounds everywhere, which is what keeps quiet regions skippable.
-        Aggregates (when valid) adjust analytically in ``O(n_subs)``; the
-        per-point update applies in one contiguous vectorised pass.
+        The per-point update applies in one contiguous vectorised pass.
         Returns False when the engine is off or the candidate geometry is
         unavailable (no sweep has run yet); callers must then relax with
         :func:`repro.core.bounds.relax_for_influence`.
         """
         if not self.incremental or self._block_cand_mask is None or self._block_floor is None:
             return False
-        track = self.aggregates_valid and self._check_bound_arrays(assignment, ub, lb)
         ratio = _influence_ratio(old_influence, new_influence)
         mask = self._block_cand_mask
         j_b, lo_b, lo2_b = self._masked_bottom2(ratio)
-        hi_b = np.where(mask, ratio[None, :], -np.inf).max(axis=1)
         g_b = np.where(mask, np.inf, ratio[None, :]).min(axis=1)
         # chain the non-candidate floor: eff > floor held before this op,
         # and every non-candidate's effective distance scales by >= g_b
@@ -439,18 +313,6 @@ class SweepWorkspace:
         # own runner-up)
         table = np.broadcast_to(lo_b[:, None], mask.shape).copy()
         table[np.arange(mask.shape[0]), j_b] = lo2_b
-        if track:
-            # gap'(p) = lb' - ub' >= min(lo*lb - hi*ub, floor - hi*ub)
-            #         >= min(lo*gap_min - (hi - lo)*max_ub, floor - hi*max_ub)
-            parent = self.sub_blocks
-            lo = lo_b[parent]
-            hi = hi_b[parent]
-            scaled_ub = self.sub_max_ub * hi
-            self.sub_min_gap = np.minimum(
-                self.sub_min_gap * lo - (hi - lo) * self.sub_max_ub,
-                floor_b[parent] - scaled_ub,
-            )
-            self.sub_max_ub = scaled_ub
         self._apply_relax("infl", ratio, table, floor_b, assignment, ub, lb)
         return True
 
@@ -473,7 +335,6 @@ class SweepWorkspace:
         """
         if not self.incremental or self._block_cand_mask is None or self._block_floor is None:
             return False
-        track = self.aggregates_valid and self._check_bound_arrays(assignment, ub, lb)
         eff_delta = _eff_deltas(deltas, influence)
         mask = self._block_cand_mask
         j_b, nd1, nd2 = self._masked_bottom2(-eff_delta)
@@ -485,74 +346,8 @@ class SweepWorkspace:
         floor_b = np.where(np.isfinite(e_b), self._block_floor, np.inf)
         table = np.broadcast_to(d1_b[:, None], mask.shape).copy()
         table[np.arange(mask.shape[0]), j_b] = d2_b
-        if track:
-            # gap'(p) >= min(gap_min - 2*d1, floor - max_ub - d1); ub' <= max_ub + d1
-            parent = self.sub_blocks
-            d1 = d1_b[parent]
-            grown_ub = self.sub_max_ub + d1
-            self.sub_min_gap = np.minimum(self.sub_min_gap - 2.0 * d1, floor_b[parent] - grown_ub)
-            self.sub_max_ub = grown_ub
         self._apply_relax("move", eff_delta, table, floor_b, assignment, ub, lb)
         return True
-
-    def invalidate_block_bounds(self) -> None:
-        """Forget the sub-block aggregates.
-
-        For callers that overwrite ``ub``/``lb`` wholesale (bound reset,
-        empty-cluster reseed, warm workspace reuse): the aggregates no
-        longer describe the bounds, so the next sweep scans globally and
-        re-seeds them.
-        """
-        self.sub_min_gap = None
-        self.sub_max_ub = None
-        self._bound_token = None
-
-    def begin_incremental_sweep(
-        self, assignment: np.ndarray, ub: np.ndarray, lb: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Active-point selection via the sub-block filter.
-
-        Returns ``(need, woken)`` — the indices needing evaluation and the
-        woken sub-block ids — or ``None`` when the aggregates are invalid
-        (caller falls back to the global scan).  Relaxations apply eagerly
-        to every point and the aggregates are conservative, so the
-        resulting ``need`` set is identical to the global
-        ``flatnonzero(ub >= lb)``.
-        """
-        if not self.incremental or not self.aggregates_valid:
-            return None
-        if not self._check_bound_arrays(assignment, ub, lb):
-            return None
-        mask = self.sub_min_gap <= 0.0
-        woken = np.flatnonzero(mask)
-        if woken.size == 0:
-            return np.empty(0, dtype=np.int64), woken
-        if woken.size >= _WAKE_BYPASS_FRACTION * self.n_subs:
-            # wake-heavy sweep: the filter cannot pay for itself — scan
-            # globally, drop the aggregates, and let the periodic probe in
-            # maybe_refresh_all notice when the trajectory goes quiet.
-            # (Relaxations apply eagerly, so per-point bounds are always
-            # current.)
-            self.sub_min_gap = None
-            self.sub_max_ub = None
-            self._bound_token = None
-            return None
-        region = _multi_arange(self.sub_starts[woken], self.sub_ends[woken])
-        need = region[ub[region] >= lb[region]]
-        return need, woken
-
-    def end_incremental_sweep(self, woken: np.ndarray, ub: np.ndarray, lb: np.ndarray) -> None:
-        """Refresh the woken sub-blocks' aggregates from their swept bounds."""
-        if woken.size == self.n_subs:
-            self.sub_min_gap = np.minimum.reduceat(lb - ub, self.sub_starts)
-            self.sub_max_ub = np.maximum.reduceat(ub, self.sub_starts)
-        elif woken.size:
-            starts = self.sub_starts[woken]
-            ends = self.sub_ends[woken]
-            region = _multi_arange(starts, ends)
-            local = np.concatenate([[0], np.cumsum(ends - starts)[:-1]])
-            self.sub_min_gap[woken] = np.minimum.reduceat(lb[region] - ub[region], local)
-            self.sub_max_ub[woken] = np.maximum.reduceat(ub[region], local)
 
     # -- kernels ------------------------------------------------------------
 

@@ -48,7 +48,7 @@ __all__ = [
     "CheckpointStore",
     "LazyCheckpointArrays",
     "data_digest",
-    "load_resume_lazy",
+    "load_resume",
     "rng_state",
     "restore_rng",
     "sanitize_run_id",
@@ -108,14 +108,20 @@ def restore_rng(state: Mapping) -> np.random.Generator:
 
 
 def _payload_digest(arrays: Mapping[str, np.ndarray], meta_json: str) -> str:
+    """SHA-256 over the metadata and every non-reserved array.
+
+    Reads one array at a time, so digesting a dict of spill handles (on
+    save) or an open npz (on load) keeps O(largest array) peak memory.
+    """
     h = hashlib.sha256()
     h.update(meta_json.encode())
-    for key in sorted(arrays):
+    for key in sorted(k for k in arrays if not k.startswith("__")):
         arr = np.ascontiguousarray(np.asarray(arrays[key]))
         h.update(key.encode())
         h.update(str(arr.dtype).encode())
         h.update(str(arr.shape).encode())
         h.update(arr.tobytes())
+        del arr
     return h.hexdigest()
 
 
@@ -292,13 +298,16 @@ class CheckpointStore:
 
     # -- load ----------------------------------------------------------------
 
-    def load(self, path: str | os.PathLike | None = None) -> tuple[dict, dict]:
+    def load(self, path: str | os.PathLike | None = None) -> tuple[LazyCheckpointArrays, dict]:
         """Load ``(arrays, meta)`` from ``path`` or the newest *valid* file.
 
         With an explicit ``path`` a corrupt file raises
         :class:`CheckpointError`.  Without one, corrupt/unreadable files are
         skipped with a warning (newest first) — a checkpoint damaged on disk
-        costs at most the work since its predecessor.
+        costs at most the work since its predecessor.  The arrays are
+        verified here and read on access (:class:`LazyCheckpointArrays`), so
+        read what you need before the next save into this store rotates
+        the file away.
         """
         if path is not None:
             return _load_file(Path(path))
@@ -323,50 +332,10 @@ def _corrupt_file(path: Path) -> None:
         fh.write(bytes(b ^ 0xFF for b in chunk))
 
 
-def _load_file(path: Path) -> tuple[dict, dict]:
-    if not path.exists():
-        raise CheckpointError(f"checkpoint {path} does not exist")
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            names = list(npz.files)
-            if _META_KEY not in names or _DIGEST_KEY not in names:
-                raise CheckpointError(f"checkpoint {path} lacks metadata/digest entries")
-            meta_json = _decode_str(npz[_META_KEY])
-            stored_digest = _decode_str(npz[_DIGEST_KEY])
-            arrays = {name: npz[name] for name in names if not name.startswith("__")}
-    except CheckpointError:
-        raise
-    except Exception as exc:  # zip CRC errors, truncation, bad JSON bytes, ...
-        raise CheckpointError(f"checkpoint {path} is unreadable: {exc!r}") from exc
-    if _payload_digest(arrays, meta_json) != stored_digest:
-        raise CheckpointError(f"checkpoint {path} failed its integrity digest")
-    try:
-        meta = json.loads(meta_json)
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint {path} holds invalid metadata: {exc}") from exc
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has format version {meta.get('version')!r}; "
-            f"this build reads version {CHECKPOINT_VERSION}"
-        )
-    return arrays, meta
-
-
-def load_resume(source: "CheckpointStore | str | os.PathLike") -> tuple[dict, dict]:
-    """Resolve a resume source: a store or directory (newest valid) or a file."""
-    if isinstance(source, CheckpointStore):
-        return source.load()
-    path = Path(source)
-    if path.is_dir():
-        store = _store_for_directory(path)
-        return store.load()
-    return _load_file(path)
-
-
 class LazyCheckpointArrays(Mapping):
     """Mapping over a *verified* checkpoint's arrays, read one at a time.
 
-    :func:`load_resume_lazy` digest-checks the file streaming (each array
+    :func:`_load_file` digest-checks the file streaming (each array
     materialised transiently), then hands out this view; ``[]`` reopens the
     npz and reads just the requested entry, so a resuming out-of-core run
     never holds more than one per-shard array in memory.
@@ -382,6 +351,9 @@ class LazyCheckpointArrays(Mapping):
         with np.load(self._path, allow_pickle=False) as npz:
             return npz[key]
 
+    def __contains__(self, key: object) -> bool:
+        return key in self._names
+
     def __iter__(self):
         return iter(self._names)
 
@@ -389,8 +361,8 @@ class LazyCheckpointArrays(Mapping):
         return len(self._names)
 
 
-def _load_file_lazy(path: Path) -> tuple[LazyCheckpointArrays, dict]:
-    """Like :func:`_load_file` but with O(largest array) peak memory."""
+def _load_file(path: Path) -> tuple[LazyCheckpointArrays, dict]:
+    """Verify one checkpoint file with O(largest array) peak memory."""
     if not path.exists():
         raise CheckpointError(f"checkpoint {path} does not exist")
     try:
@@ -400,22 +372,12 @@ def _load_file_lazy(path: Path) -> tuple[LazyCheckpointArrays, dict]:
                 raise CheckpointError(f"checkpoint {path} lacks metadata/digest entries")
             meta_json = _decode_str(npz[_META_KEY])
             stored_digest = _decode_str(npz[_DIGEST_KEY])
-            array_names = tuple(n for n in names if not n.startswith("__"))
-            # digest exactly as _payload_digest, one array resident at a time
-            h = hashlib.sha256()
-            h.update(meta_json.encode())
-            for key in sorted(array_names):
-                arr = np.ascontiguousarray(npz[key])
-                h.update(key.encode())
-                h.update(str(arr.dtype).encode())
-                h.update(str(arr.shape).encode())
-                h.update(arr.tobytes())
-                del arr
+            digest = _payload_digest(npz, meta_json)
     except CheckpointError:
         raise
     except Exception as exc:  # zip CRC errors, truncation, bad JSON bytes, ...
         raise CheckpointError(f"checkpoint {path} is unreadable: {exc!r}") from exc
-    if h.hexdigest() != stored_digest:
+    if digest != stored_digest:
         raise CheckpointError(f"checkpoint {path} failed its integrity digest")
     try:
         meta = json.loads(meta_json)
@@ -426,34 +388,17 @@ def _load_file_lazy(path: Path) -> tuple[LazyCheckpointArrays, dict]:
             f"checkpoint {path} has format version {meta.get('version')!r}; "
             f"this build reads version {CHECKPOINT_VERSION}"
         )
-    return LazyCheckpointArrays(path, array_names), meta
+    return LazyCheckpointArrays(path, tuple(n for n in names if not n.startswith("__"))), meta
 
 
-def load_resume_lazy(
-    source: "CheckpointStore | str | os.PathLike",
-) -> tuple[LazyCheckpointArrays, dict]:
-    """:func:`load_resume` with lazily-read arrays (out-of-core resume path).
-
-    Same source resolution and corrupt-fallback behaviour; arrays are
-    digest-verified streaming and then read on demand via
-    :class:`LazyCheckpointArrays`.
-    """
+def load_resume(source: "CheckpointStore | str | os.PathLike") -> tuple[LazyCheckpointArrays, dict]:
+    """Resolve a resume source: a store or directory (newest valid) or a file."""
     if isinstance(source, CheckpointStore):
-        store = source
-    else:
-        path = Path(source)
-        if not path.is_dir():
-            return _load_file_lazy(path)
-        store = _store_for_directory(path)
-    errors: list[str] = []
-    for candidate in reversed(store.candidates()):
-        try:
-            return _load_file_lazy(candidate)
-        except CheckpointError as exc:
-            warnings.warn(f"skipping corrupt checkpoint {candidate}: {exc}", stacklevel=2)
-            errors.append(f"{candidate.name}: {exc}")
-    detail = f" (rejected: {'; '.join(errors)})" if errors else ""
-    raise CheckpointError(f"no valid checkpoint under {store.directory}{detail}")
+        return source.load()
+    path = Path(source)
+    if path.is_dir():
+        return _store_for_directory(path).load()
+    return _load_file(path)
 
 
 def _store_for_directory(path: Path) -> CheckpointStore:

@@ -200,14 +200,13 @@ class _Checkpoints:
 
 @contextmanager
 def _run_context(nranks, comm, backend, machine, topology, *, cfg, rng, n, k, kind,
-                 input_digest, checkpoint, checkpoint_every, resume_from, provenance, load):
+                 input_digest, checkpoint, checkpoint_every, resume_from, provenance):
     """Set-up shared by the in-memory and out-of-core runners.
 
     Validates the rank count and the checkpoint arguments, loads and
-    validates the resume point (``load`` reads it), and opens the
-    communicator.  Yields ``(grid, gen, checkpoints)``.  A comm created here
-    is closed on exit, even on error; a reused comm gets its stage label
-    restored.
+    validates the resume point, and opens the communicator.  Yields
+    ``(grid, gen, checkpoints)``.  A comm created here is closed on exit,
+    even on error; a reused comm gets its stage label restored.
     """
     if nranks > n:
         raise ValueError(f"nranks={nranks} exceeds the number of points n={n}")
@@ -217,7 +216,7 @@ def _run_context(nranks, comm, backend, machine, topology, *, cfg, rng, n, k, ki
     store = CheckpointStore.ensure(checkpoint)
     resume = None
     if resume_from is not None:
-        arrays, meta = load(resume_from)
+        arrays, meta = load_resume(resume_from)
         validate_meta(meta, kind=kind, config_digest=cfg.digest(), input_digest=input_digest,
                       checks=[("n", n), ("k", k)])
         gen = restore_rng(meta["rng_state"])
@@ -492,8 +491,7 @@ def distributed_balanced_kmeans(
     with _run_context(nranks, comm, backend, machine, topology, cfg=cfg, rng=rng, n=n, k=k,
                       kind=CHECKPOINT_KIND, input_digest=data_digest(pts, w, extra=f"n={n},k={k}"),
                       checkpoint=checkpoint, checkpoint_every=checkpoint_every,
-                      resume_from=resume_from, provenance=provenance,
-                      load=load_resume) as (grid, gen, ckpt):
+                      resume_from=resume_from, provenance=provenance) as (grid, gen, ckpt):
         storage = SharedStorage(grid)
         try:
             local_pts, local_w, local_ids, glo, ghi = _redistribute(grid, storage, pts, w, cfg)
@@ -672,7 +670,6 @@ def _kmeans_loop(
                 "different (points, config, k) triple — build a fresh "
                 "SweepWorkspace (or let the run build one) instead"
             )
-        workspace.invalidate_block_bounds()
     workspaces = [None] * p
     if keep_state:
         workspaces = [workspace if r == 0 and workspace is not None
@@ -848,8 +845,6 @@ def _kmeans_loop(
 
             def reset_lower(r: int, lower) -> None:
                 lower[:] = 0.0
-                if workspaces[r] is not None:
-                    workspaces[r].invalidate_block_bounds()
 
             comm.run_local(storage.local(reset_lower, write=(lb,)))
             prev_block_w = None  # the relocation moved weight between the estimates

@@ -60,7 +60,7 @@ import numpy as np
 from repro.core.config import BalancedKMeansConfig
 from repro.io.sharded import ShardedDataset
 from repro.io.spill import SpillHandle, SpillStore
-from repro.runtime.checkpoint import CheckpointStore, load_resume_lazy
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.comm import Comm, CostLedger
 from repro.runtime.costmodel import MachineModel, MachineTopology
 from repro.runtime.distributed_kmeans import _check_sfc_seeding, _kmeans_loop, _run_context
@@ -325,8 +325,7 @@ def ondisk_distributed_kmeans(
     with _run_context(nranks, comm, backend, machine, topology, cfg=cfg, rng=rng, n=dataset.n, k=k,
                       kind=ONDISK_CHECKPOINT_KIND, input_digest=f"sharded:{dataset.digest}",
                       checkpoint=checkpoint, checkpoint_every=checkpoint_every,
-                      resume_from=resume_from, provenance=provenance,
-                      load=load_resume_lazy) as (grid, gen, ckpt):
+                      resume_from=resume_from, provenance=provenance) as (grid, gen, ckpt):
         if spill_dir is None:
             spill_dir = tempfile.mkdtemp(prefix="repro-ondisk-")
         store = SpillStore(spill_dir)

@@ -31,8 +31,8 @@ class TestConfig:
         # Every checkpoint stores this digest and resume rejects a mismatch:
         # changing these values makes every existing checkpoint
         # unresumable, so announce such a change in CHANGES.md.
-        assert BalancedKMeansConfig().digest() == "8111d8a3f568668e"
-        assert BalancedKMeansConfig(use_bounds=False).digest() == "b9dcc20aad23f16d"
+        assert BalancedKMeansConfig().digest() == "d8e05f3d7d2ed24c"
+        assert BalancedKMeansConfig(use_bounds=False).digest() == "b53061d4d23ae0b8"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -398,7 +398,8 @@ class TestWarmWorkspace:
         order = compute_sfc_order(pts, cfg)
         ws = SweepWorkspace(np.ascontiguousarray(pts[order]), cfg, 8)
         warm1 = balanced_kmeans(pts, 8, config=cfg, rng=5, workspace=ws, sfc_order=order)
-        # second reuse of the *same* workspace (now carrying aggregates)
+        # second reuse of the *same* workspace (now carrying the first run's
+        # candidate sets and block floors)
         warm2 = balanced_kmeans(pts, 8, config=cfg, rng=5, workspace=ws, sfc_order=order)
         for warm in (warm1, warm2):
             assert np.array_equal(cold.assignment, warm.assignment)

@@ -4,8 +4,10 @@ Two contracts, exercised over randomized influence/relocation sequences:
 
 (a) the delta-maintained block weights equal ``np.bincount`` bit-for-bit
     (integer-valued weights, so every sum is exact in float64);
-(b) the sub-block filter is conservative: a sub-block it certifies skipped
-    contains only points the per-point Hamerly filter would also skip.
+(b) the per-point Hamerly filter is conservative: after every sweep each
+    point holds its brute-force argmin, computed from direct coordinate
+    differences rather than the sweep's squared-norm expansion, on both
+    the candidate-local and the cluster-exact relaxation path.
 
 Plus unit tests for the satellite pieces: the vectorised static-block
 chunking, sparse-chunk merging, candidate-local relaxations, and the
@@ -93,7 +95,7 @@ class TestDeltaBlockWeights:
     def test_property_incremental_block_w_equals_bincount(self, seed, k, n):
         """(a) delta-maintained weights == np.bincount, bit for bit."""
         pts, weights, centers, rng = _sorted_workload(seed, n, k)
-        cfg = BalancedKMeansConfig(chunk_size=128, incremental_block_size=32)
+        cfg = BalancedKMeansConfig(chunk_size=128)
 
         def check(ws, assignment, ub, lb, block_w, influence, centers, stats):
             expected = np.bincount(assignment, weights=weights, minlength=k)
@@ -114,36 +116,31 @@ class TestDeltaBlockWeights:
 
 
 class TestBlockFilterConservative:
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 10_000), k=st.integers(6, 14))
-    def test_property_certified_subblocks_contain_only_certified_points(self, seed, k):
-        """(b) a skipped sub-block never hides a point the per-point filter
-        would evaluate: certified means every point has ub < lb."""
-        pts, weights, centers, rng = _sorted_workload(seed, 1500, k)
-        cfg = BalancedKMeansConfig(chunk_size=128, incremental_block_size=32)
-        seen = {"certified": 0}
-
-        def check(ws, assignment, ub, lb, block_w, influence, centers, stats):
-            if not ws.aggregates_valid:
-                return
-            for s in np.flatnonzero(ws.sub_min_gap > 0.0):
-                lo, hi = int(ws.sub_starts[s]), int(ws.sub_ends[s])
-                assert np.all(ub[lo:hi] < lb[lo:hi]), (
-                    "sub-block certified skipped but contains an active point"
-                )
-                seen["certified"] += 1
-
-        _drive_sequence(pts, weights, centers, rng, cfg, steps=8, check=check)
-
-    def test_skipped_points_hold_exact_argmin(self):
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(2, 14), use_box_pruning=st.booleans())
+    def test_skipped_points_hold_exact_argmin(self, seed, k, use_box_pruning):
         """Whatever the filter skips, the assignment equals the brute-force
-        argmin under the current influence (the engine's core invariant)."""
-        pts, weights, centers, rng = _sorted_workload(17, 1200, 9)
-        cfg = BalancedKMeansConfig(chunk_size=128, incremental_block_size=32)
+        argmin under the current influence (the engine's core invariant),
+        and the bounds of every point still bracket its distances.
+
+        With pruning on (and ``k > 2``) the bounds relax through the
+        candidate-local forms; without static blocks the cluster-exact
+        ``relax_for_*`` run instead.
+        """
+        pts, weights, centers, rng = _sorted_workload(seed, 1200, k)
+        cfg = BalancedKMeansConfig(chunk_size=128, use_box_pruning=use_box_pruning)
+        rows = np.arange(pts.shape[0])
 
         def check(ws, assignment, ub, lb, block_w, influence, centers, stats):
-            expected = effective_distances(pts, centers, influence).argmin(axis=1)
-            assert np.array_equal(assignment, expected)
+            assert ws.incremental == (use_box_pruning and k > 2)
+            eff = np.linalg.norm(pts[:, None] - centers[None], axis=2) / influence
+            assert np.array_equal(assignment, eff.argmin(axis=1))
+            own = eff[rows, assignment].copy()
+            eff[rows, assignment] = np.inf
+            # the sweep's bounds come from the squared-norm expansion, so
+            # allow its rounding against the direct differences
+            assert np.all(ub >= own - 1e-9), "ub stopped bounding the own distance"
+            assert np.all(lb <= eff.min(axis=1) + 1e-9), "lb overshot the runner-up"
 
         _drive_sequence(pts, weights, centers, rng, cfg, steps=6, check=check)
 
@@ -155,7 +152,7 @@ class TestCandidateLocalRelax:
     @given(seed=st.integers(0, 10_000))
     def test_property_relaxed_bounds_remain_valid(self, seed):
         pts, weights, centers, rng = _sorted_workload(seed, 900, 8)
-        cfg = BalancedKMeansConfig(chunk_size=128, incremental_block_size=32)
+        cfg = BalancedKMeansConfig(chunk_size=128)
         ws = SweepWorkspace(pts, cfg, 8)
         assignment = np.zeros(900, dtype=np.int64)
         ub, lb = init_bounds(900)
@@ -216,7 +213,7 @@ class TestChunking:
 
     def test_merged_chunks_cover_need_and_superset_candidates(self):
         pts, weights, centers, rng = _sorted_workload(9, 4000, 12)
-        cfg = BalancedKMeansConfig(chunk_size=256, incremental_block_size=64)
+        cfg = BalancedKMeansConfig(chunk_size=256)
         ws = SweepWorkspace(pts, cfg, 12)
         ws.prepare(centers, np.ones(12))
         need = np.sort(rng.choice(4000, size=180, replace=False)).astype(np.int64)
@@ -266,8 +263,7 @@ class TestEndToEndIdentity:
         side = np.sqrt(0.002)
         trails = {}
         for use_bounds in (True, False):
-            cfg = BalancedKMeansConfig(use_bounds=use_bounds, max_balance_iterations=70,
-                                       incremental_block_size=64)
+            cfg = BalancedKMeansConfig(use_bounds=use_bounds, max_balance_iterations=70)
             ws = SweepWorkspace(pts, cfg, k)
 
             def run(weights, centers, phases):
@@ -289,17 +285,13 @@ class TestEndToEndIdentity:
             _assert_same_run(engine, reference)
 
     def test_non_divisor_sub_block_size_stays_exact(self):
-        """Sub-blocks are cut within static blocks even when
-        incremental_block_size does not divide chunk_size (regression: a
-        sub-block spanning two blocks applied the wrong block's candidate
-        factors to its tail points)."""
+        """A block size that is no power of two still matches the ablation:
+        block-local candidate factors reach exactly the points of their own
+        static block."""
         rng = np.random.default_rng(31)
         pts = rng.random((6000, 2))
         w = rng.integers(1, 4, 6000).astype(np.float64)
-        inc_cfg = BalancedKMeansConfig(chunk_size=300, incremental_block_size=256)
-        ws = SweepWorkspace(pts, inc_cfg, 10)
-        assert np.all(ws.sub_starts // ws.block_size
-                      == (ws.sub_ends - 1) // ws.block_size), "sub-block spans two blocks"
+        inc_cfg = BalancedKMeansConfig(chunk_size=300)
         a = balanced_kmeans(pts, 10, weights=w, rng=4, config=inc_cfg)
         b = balanced_kmeans(pts, 10, weights=w, rng=4,
                             config=inc_cfg.with_(use_bounds=False))

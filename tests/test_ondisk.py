@@ -1,16 +1,25 @@
 """Out-of-core runner: bit-identity with the in-memory path, resume, dispatch."""
 
+import tempfile
+
 import numpy as np
 import pytest
 
 from repro.core.config import BalancedKMeansConfig
-from repro.io.sharded import ShardedDataset, write_sharded
+from repro.io.sharded import write_sharded
 from repro.runtime.checkpoint import CheckpointError, CheckpointMismatchError, CheckpointStore
 from repro.runtime.comm import make_comm
 from repro.runtime.distributed_kmeans import distributed_balanced_kmeans
 from repro.runtime.ondisk import ondisk_distributed_kmeans
 
 CFG = BalancedKMeansConfig(epsilon=0.02)
+
+
+@pytest.fixture(autouse=True)
+def _spill_under_tmp_path(tmp_path, monkeypatch):
+    """Runs without ``spill_dir`` spill into ``tempfile.mkdtemp()``, which
+    nothing removes; point it at this test's ``tmp_path`` instead."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
 
 
 def _points(n=600, dim=2, seed=11):

@@ -70,12 +70,21 @@ class TestDistributedKMeans:
         assert "alltoallv" in ops  # the one-off redistribution
 
     def test_more_ranks_less_compute(self):
-        """Max rank-local compute time shrinks with more ranks (same n)."""
+        """Max rank-local compute time shrinks with more ranks (same n).
+
+        One ~30 ms run per rank count is at the mercy of a single scheduler
+        stall, so each side takes the minimum over five identical runs (the
+        min-of-repeats rule of the balance bench).
+        """
         pts = _pts(6000, seed=16)
         cfg = BalancedKMeansConfig(use_sampling=False)
-        t2 = distributed_balanced_kmeans(pts, k=4, nranks=2, config=cfg, rng=17).ledger.compute_seconds
-        t8 = distributed_balanced_kmeans(pts, k=4, nranks=8, config=cfg, rng=17).ledger.compute_seconds
-        assert t8 < t2
+
+        def compute_seconds(nranks):
+            return min(distributed_balanced_kmeans(pts, k=4, nranks=nranks, config=cfg,
+                                                   rng=17).ledger.compute_seconds
+                       for _ in range(5))
+
+        assert compute_seconds(8) < compute_seconds(2)
 
     def test_island_penalty_increases_comm(self):
         pts = _pts(600, seed=18)

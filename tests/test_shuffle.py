@@ -1,5 +1,7 @@
 """Post-partition shuffle: conservation property, ownership, disk/memory parity."""
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +24,13 @@ SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 CFG = BalancedKMeansConfig(epsilon=0.02)
+
+
+@pytest.fixture(autouse=True)
+def _spill_under_tmp_path(tmp_path, monkeypatch):
+    """Runs without ``spill_dir`` spill into ``tempfile.mkdtemp()``, which
+    nothing removes; point it at this test's ``tmp_path`` instead."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
 
 
 def _random_chunks(p, k, seed, max_rows=80):
